@@ -165,7 +165,7 @@ fn early_stop() {
             golden_max_cycles: 100_000_000,
         };
         bench("early_stop", name, || {
-            run_campaign(&mafin, &program, StructureId::L2Data, 7, &masks, &cfg);
+            CampaignRunner::new(&mafin, &program, StructureId::L2Data, 7, &cfg).run(&masks);
         });
     }
 }
@@ -186,10 +186,12 @@ fn warm_start() {
     };
 
     bench("warm_start", "cold_start", || {
-        run_campaign(&mafin, &program, StructureId::L2Data, 11, &masks, &cfg);
+        CampaignRunner::new(&mafin, &program, StructureId::L2Data, 11, &cfg).run(&masks);
     });
     bench("warm_start", "checkpointed_k8", || {
-        run_campaign_checkpointed(&mafin, &program, StructureId::L2Data, 11, &masks, &cfg, 8);
+        CampaignRunner::new(&mafin, &program, StructureId::L2Data, 11, &cfg)
+            .with_strategy(Strategy::Checkpointed { checkpoints: 8 })
+            .run(&masks);
     });
 }
 
@@ -364,18 +366,15 @@ fn collapse() {
         );
     };
     bench("collapse", "cold_40", || {
-        run_campaign(&mafin, &program, StructureId::L2Data, 11, &masks, &cfg);
+        CampaignRunner::new(&mafin, &program, StructureId::L2Data, 11, &cfg).run(&masks);
     });
     bench("collapse", "collapsed_40", || {
-        run_campaign_collapsed(
-            &mafin,
-            &program,
-            StructureId::L2Data,
-            11,
-            &masks,
-            &cfg,
-            &profile,
-        );
+        CampaignRunner::new(&mafin, &program, StructureId::L2Data, 11, &cfg)
+            .with_strategy(Strategy::Collapsed {
+                profile: &profile,
+                checkpoints: 0,
+            })
+            .run(&masks);
     });
     report("ratio_40", &masks, &profile);
 
@@ -389,18 +388,15 @@ fn collapse() {
         return;
     }
     bench("collapse", "cold_dense", || {
-        run_campaign(&mafin, &program, StructureId::IntRegFile, 11, &dense, &cfg);
+        CampaignRunner::new(&mafin, &program, StructureId::IntRegFile, 11, &cfg).run(&dense);
     });
     bench("collapse", "collapsed_dense", || {
-        run_campaign_collapsed(
-            &mafin,
-            &program,
-            StructureId::IntRegFile,
-            11,
-            &dense,
-            &cfg,
-            &prf_profile,
-        );
+        CampaignRunner::new(&mafin, &program, StructureId::IntRegFile, 11, &cfg)
+            .with_strategy(Strategy::Collapsed {
+                profile: &prf_profile,
+                checkpoints: 0,
+            })
+            .run(&dense);
     });
     report("ratio_dense", &dense, &prf_profile);
 }
@@ -493,7 +489,7 @@ fn data_arrays() {
         OoOCore::new(mars_config(), &program).run(&[], &limits());
     });
     bench("data_arrays", "perf_only", || {
-        OoOCore::new(difi::mars::perf_only_config(), &program).run(&[], &limits());
+        OoOCore::new(difi::core::substrate::perf_only_config(), &program).run(&[], &limits());
     });
 }
 

@@ -140,14 +140,14 @@ fn figure(structure: StructureId, title: &str, opts: &Opts) {
                 .expect("figure structures are injectable");
             let masks = MaskGenerator::new(opts.seed ^ (*bench as u64) << 8 ^ structure as u64)
                 .transient(&desc, golden.cycles_measured(), opts.injections);
-            let log = run_campaign(
+            let log = CampaignRunner::new(
                 dispatcher.as_ref(),
                 &program,
                 structure,
                 opts.seed,
-                &masks,
                 &CampaignConfig::default(),
-            );
+            )
+            .run(&masks);
             if let Some(dir) = &opts.out {
                 std::fs::create_dir_all(dir).expect("create out dir");
                 let path = dir.join(format!(
@@ -372,11 +372,11 @@ fn speedup(opts: &Opts) {
         };
         cfg.early_stop = false;
         let t0 = Instant::now();
-        let slow = run_campaign(&mafin, &program, structure, opts.seed, &masks, &cfg);
+        let slow = CampaignRunner::new(&mafin, &program, structure, opts.seed, &cfg).run(&masks);
         let t_slow = t0.elapsed();
         cfg.early_stop = true;
         let t0 = Instant::now();
-        let fast = run_campaign(&mafin, &program, structure, opts.seed, &masks, &cfg);
+        let fast = CampaignRunner::new(&mafin, &program, structure, opts.seed, &cfg).run(&masks);
         let t_fast = t0.elapsed();
         // Sum only measured runs: statically-pruned masks never executed and
         // carry no cycle count.
@@ -404,7 +404,7 @@ fn speedup(opts: &Opts) {
 fn overhead(_opts: &Opts) {
     println!("\n§III.C — MARSS data-array extension cost (paper: ≈40% throughput)");
     let full = mars_config();
-    let perf = difi::mars::perf_only_config();
+    let perf = difi::core::substrate::perf_only_config();
     for bench in [Bench::Sha, Bench::Cjpeg, Bench::Caes] {
         let program = build(bench, Isa::X86e).expect("assembles");
         let wall = |cfg| {

@@ -31,9 +31,6 @@
 //! every completed mask, dispatches only the remainder, and returns a
 //! [`CampaignLog`] byte-identical to an uninterrupted run.
 //!
-//! The classic entry points [`run_campaign`], [`run_campaign_checkpointed`]
-//! and [`run_campaign_pruned`] remain as thin wrappers over the runner.
-//!
 //! A panic escaping a dispatcher is confined to the run that raised it: the
 //! run is logged as [`RunStatus::SimulatorCrash`] (the paper treats
 //! simulator malfunction as a *class*, not a fatal error) and every other
@@ -98,6 +95,9 @@ pub enum Strategy<'a> {
     },
     /// Masks the static ACE analysis proves masked are logged as
     /// [`EarlyStop::StaticallyPruned`] without dispatch; the rest run cold.
+    /// Pruned runs carry no measurements ([`RawRunResult::unexecuted`]):
+    /// they never executed, so a fabricated `cycles: 0` would poison cycle
+    /// aggregates.
     Pruned {
         /// Golden-run residency profile to prune against.
         profile: &'a AceProfile,
@@ -952,150 +952,6 @@ impl<'a> CampaignRunner<'a> {
     }
 }
 
-/// Runs a full campaign: golden run, then every mask, in parallel.
-/// Thin wrapper over [`CampaignRunner`] with [`Strategy::Cold`].
-///
-/// # Panics
-///
-/// Panics if the golden run does not complete — an injector/benchmark pair
-/// that cannot run fault-free cannot be studied.
-pub fn run_campaign(
-    dispatcher: &dyn InjectorDispatcher,
-    program: &Program,
-    structure: StructureId,
-    seed: u64,
-    masks: &[InjectionSpec],
-    cfg: &CampaignConfig,
-) -> CampaignLog {
-    CampaignRunner::new(dispatcher, program, structure, seed, cfg).run(masks)
-}
-
-/// Runs a campaign through the **checkpointed warm-start engine** — a thin
-/// wrapper over [`CampaignRunner`] with [`Strategy::Checkpointed`].
-///
-/// Masks that cannot warm-start (instruction-scheduled faults, injection
-/// before the first checkpoint) and dispatchers without snapshot support
-/// fall back to the cold path, which is always equivalent: the fault-free
-/// prefix is deterministic, so skipping it changes wall-clock only. The
-/// returned log is byte-identical to [`run_campaign`]'s — which therefore
-/// stays available as a differential oracle.
-///
-/// # Panics
-///
-/// Panics if the golden run does not complete (same contract as
-/// [`run_campaign`]).
-pub fn run_campaign_checkpointed(
-    dispatcher: &dyn InjectorDispatcher,
-    program: &Program,
-    structure: StructureId,
-    seed: u64,
-    masks: &[InjectionSpec],
-    cfg: &CampaignConfig,
-    checkpoints: usize,
-) -> CampaignLog {
-    CampaignRunner::new(dispatcher, program, structure, seed, cfg)
-        .with_strategy(Strategy::Checkpointed { checkpoints })
-        .run(masks)
-}
-
-/// A campaign run with static-ACE pre-dispatch pruning applied.
-#[derive(Debug)]
-pub struct PrunedCampaign {
-    /// The complete log: every mask appears exactly once, pruned ones as
-    /// [`EarlyStop::StaticallyPruned`] runs.
-    pub log: CampaignLog,
-    /// Spec ids classified Masked before dispatch (logged, not dropped).
-    pub pruned_ids: Vec<u64>,
-    /// Masks actually dispatched to the simulator (excluding the golden
-    /// run).
-    pub dispatched: usize,
-}
-
-/// Runs a campaign with ACE pruning — a thin wrapper over
-/// [`CampaignRunner`] with [`Strategy::Pruned`]. Masks the golden-run
-/// residency `profile` proves masked are logged as
-/// [`EarlyStop::StaticallyPruned`] without booting a simulator; the rest
-/// run normally. Verdict totals are identical to [`run_campaign`] — only
-/// the dispatch count changes. Pruned runs carry *no* measurements
-/// ([`RawRunResult::unexecuted`]): they never executed, so a fabricated
-/// `cycles: 0` would poison cycle aggregates.
-///
-/// # Panics
-///
-/// Panics if the golden run does not complete (same contract as
-/// [`run_campaign`]).
-pub fn run_campaign_pruned(
-    dispatcher: &dyn InjectorDispatcher,
-    program: &Program,
-    structure: StructureId,
-    seed: u64,
-    masks: &[InjectionSpec],
-    cfg: &CampaignConfig,
-    profile: &AceProfile,
-) -> PrunedCampaign {
-    let (pruned, dispatch) = partition_provably_masked(masks, profile);
-    let log = CampaignRunner::new(dispatcher, program, structure, seed, cfg)
-        .with_strategy(Strategy::Pruned { profile })
-        .run(masks);
-    PrunedCampaign {
-        log,
-        pruned_ids: pruned.iter().map(|&i| masks[i].id).collect(),
-        dispatched: dispatch.len(),
-    }
-}
-
-/// A campaign run through fault-equivalence collapsing.
-#[derive(Debug)]
-pub struct CollapsedCampaign {
-    /// The complete log: every mask appears exactly once, each stamped with
-    /// its [`ClassProvenance`]; dead-class members as
-    /// [`EarlyStop::StaticallyPruned`] runs, latch-class members with their
-    /// representative's replicated result.
-    pub log: CampaignLog,
-    /// The equivalence partition the campaign collapsed through.
-    pub partition: MaskPartition,
-    /// Masks actually dispatched to the simulator (one representative per
-    /// non-dead class; excluding the golden run).
-    pub dispatched: usize,
-}
-
-/// Runs a campaign with **fault-equivalence collapsing** — a thin wrapper
-/// over [`CampaignRunner`] with [`Strategy::Collapsed`] (cold
-/// representatives; compose `Strategy::Collapsed { checkpoints, .. }`
-/// directly to warm-start them). The masks repository is statically
-/// partitioned against `profile`; only one representative per
-/// non-dead class boots a simulator. Per-mask classifications are
-/// identical to [`run_campaign`] — the `tests/collapse_equivalence.rs`
-/// differential oracle — while dispatch count drops by the collapse ratio.
-///
-/// # Panics
-///
-/// Panics if the golden run does not complete (same contract as
-/// [`run_campaign`]).
-pub fn run_campaign_collapsed(
-    dispatcher: &dyn InjectorDispatcher,
-    program: &Program,
-    structure: StructureId,
-    seed: u64,
-    masks: &[InjectionSpec],
-    cfg: &CampaignConfig,
-    profile: &AceProfile,
-) -> CollapsedCampaign {
-    let partition = partition_equivalence(masks, profile);
-    let log = CampaignRunner::new(dispatcher, program, structure, seed, cfg)
-        .with_strategy(Strategy::Collapsed {
-            profile,
-            checkpoints: 0,
-        })
-        .run(masks);
-    let dispatched = partition.dispatch_count();
-    CollapsedCampaign {
-        log,
-        partition,
-        dispatched,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1221,17 +1077,17 @@ mod tests {
     #[test]
     fn campaign_runs_every_mask_in_order() {
         let d = FakeDispatcher::new();
-        let log = run_campaign(
+        let log = CampaignRunner::new(
             &d,
             &program(),
             StructureId::IntRegFile,
             9,
-            &masks(30),
             &CampaignConfig {
                 threads: 4,
                 ..Default::default()
             },
-        );
+        )
+        .run(&masks(30));
         assert_eq!(log.runs.len(), 30);
         assert_eq!(d.calls.load(Ordering::SeqCst), 31, "30 masks + golden");
         // Results stay aligned with their masks.
@@ -1251,17 +1107,17 @@ mod tests {
     #[test]
     fn single_threaded_path_matches() {
         let d = FakeDispatcher::new();
-        let log = run_campaign(
+        let log = CampaignRunner::new(
             &d,
             &program(),
             StructureId::IntRegFile,
             0,
-            &masks(5),
             &CampaignConfig {
                 threads: 1,
                 ..Default::default()
             },
-        );
+        )
+        .run(&masks(5));
         assert_eq!(log.runs.len(), 5);
     }
 
@@ -1270,17 +1126,17 @@ mod tests {
         // threads == 0 must resolve to available parallelism and still run
         // every mask exactly once, aligned with its slot.
         let d = FakeDispatcher::new();
-        let log = run_campaign(
+        let log = CampaignRunner::new(
             &d,
             &program(),
             StructureId::IntRegFile,
             3,
-            &masks(17),
             &CampaignConfig {
                 threads: 0,
                 ..Default::default()
             },
-        );
+        )
+        .run(&masks(17));
         assert_eq!(log.runs.len(), 17);
         assert_eq!(d.calls.load(Ordering::SeqCst), 18, "17 masks + golden");
         for (i, run) in log.runs.iter().enumerate() {
@@ -1292,32 +1148,32 @@ mod tests {
     fn short_mask_list_takes_sequential_fallback() {
         // masks.len() < 2 must run sequentially even with many threads.
         let d = FakeDispatcher::new();
-        let log = run_campaign(
+        let log = CampaignRunner::new(
             &d,
             &program(),
             StructureId::IntRegFile,
             1,
-            &masks(1),
             &CampaignConfig {
                 threads: 8,
                 ..Default::default()
             },
-        );
+        )
+        .run(&masks(1));
         assert_eq!(log.runs.len(), 1);
         assert_eq!(d.calls.load(Ordering::SeqCst), 2, "1 mask + golden");
 
         let d = FakeDispatcher::new();
-        let log = run_campaign(
+        let log = CampaignRunner::new(
             &d,
             &program(),
             StructureId::IntRegFile,
             1,
-            &masks(0),
             &CampaignConfig {
                 threads: 8,
                 ..Default::default()
             },
-        );
+        )
+        .run(&masks(0));
         assert!(log.runs.is_empty());
         assert_eq!(d.calls.load(Ordering::SeqCst), 1, "golden only");
     }
@@ -1327,17 +1183,17 @@ mod tests {
         let d = PanickingDispatcher {
             inner: FakeDispatcher::new(),
         };
-        let log = run_campaign(
+        let log = CampaignRunner::new(
             &d,
             &program(),
             StructureId::IntRegFile,
             5,
-            &masks(30),
             &CampaignConfig {
                 threads: 4,
                 ..Default::default()
             },
-        );
+        )
+        .run(&masks(30));
         // Zero results lost: every mask has a slot, in order.
         assert_eq!(log.runs.len(), 30);
         for (i, run) in log.runs.iter().enumerate() {
@@ -1367,17 +1223,17 @@ mod tests {
         let d = PanickingDispatcher {
             inner: FakeDispatcher::new(),
         };
-        let log = run_campaign(
+        let log = CampaignRunner::new(
             &d,
             &program(),
             StructureId::IntRegFile,
             5,
-            &masks(4),
             &CampaignConfig {
                 threads: 1,
                 ..Default::default()
             },
-        );
+        )
+        .run(&masks(4));
         assert_eq!(log.runs.len(), 4);
         assert!(matches!(
             log.runs[0].result.status,
@@ -1399,16 +1255,11 @@ mod tests {
             threads: 2,
             ..Default::default()
         };
-        let cold = run_campaign(&d, &program(), StructureId::IntRegFile, 7, &masks(12), &cfg);
-        let warm = run_campaign_checkpointed(
-            &d,
-            &program(),
-            StructureId::IntRegFile,
-            7,
-            &masks(12),
-            &cfg,
-            4,
-        );
+        let cold =
+            CampaignRunner::new(&d, &program(), StructureId::IntRegFile, 7, &cfg).run(&masks(12));
+        let warm = CampaignRunner::new(&d, &program(), StructureId::IntRegFile, 7, &cfg)
+            .with_strategy(Strategy::Checkpointed { checkpoints: 4 })
+            .run(&masks(12));
         assert_eq!(cold, warm);
     }
 
@@ -1423,7 +1274,7 @@ mod tests {
             ..Default::default()
         };
         let d = FakeDispatcher::new();
-        let plain = run_campaign(&d, &p, StructureId::IntRegFile, 7, &masks(10), &cfg);
+        let plain = CampaignRunner::new(&d, &p, StructureId::IntRegFile, 7, &cfg).run(&masks(10));
         let d2 = FakeDispatcher::new();
         let runner =
             CampaignRunner::new(&d2, &p, StructureId::IntRegFile, 7, &cfg).with_profiling(true);
@@ -1663,27 +1514,27 @@ mod tests {
     fn collapsed_strategy_dispatches_one_representative_per_latch_class() {
         let d = FakeDispatcher::new();
         let profile = collapse_profile();
-        let collapsed = run_campaign_collapsed(
-            &d,
-            &program(),
-            StructureId::IntRegFile,
-            4,
-            &masks(9),
-            &CampaignConfig {
-                threads: 2,
-                ..Default::default()
-            },
-            &profile,
-        );
+        let cfg = CampaignConfig {
+            threads: 2,
+            ..Default::default()
+        };
+        let strategy = Strategy::Collapsed {
+            profile: &profile,
+            checkpoints: 0,
+        };
+        let m = masks(9);
+        let log = CampaignRunner::new(&d, &program(), StructureId::IntRegFile, 4, &cfg)
+            .with_strategy(strategy)
+            .run(&m);
+        let partition = partition_equivalence(&m, &profile);
         assert_eq!(
             d.calls.load(Ordering::SeqCst),
             2,
             "golden + 1 representative"
         );
-        assert_eq!(collapsed.dispatched, 1);
-        assert_eq!(collapsed.partition.class_count(), 3);
-        assert!((collapsed.partition.collapse_ratio() - 3.0).abs() < 1e-12);
-        let log = &collapsed.log;
+        assert_eq!(partition.dispatch_count(), 1);
+        assert_eq!(partition.class_count(), 3);
+        assert!((partition.collapse_ratio() - 3.0).abs() < 1e-12);
         assert_eq!(log.runs.len(), 9, "every mask logged exactly once");
         for (i, run) in log.runs.iter().enumerate() {
             assert_eq!(run.spec.id, i as u64);
@@ -1855,7 +1706,8 @@ mod tests {
             threads: 2,
             ..Default::default()
         };
-        let plain = run_campaign(&d, &program(), StructureId::IntRegFile, 9, &masks(8), &cfg);
+        let plain =
+            CampaignRunner::new(&d, &program(), StructureId::IntRegFile, 9, &cfg).run(&masks(8));
         let reg = Arc::new(MetricsRegistry::new());
         let traced = CampaignRunner::new(&d, &program(), StructureId::IntRegFile, 9, &cfg)
             .with_tracing(true)

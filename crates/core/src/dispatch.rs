@@ -4,9 +4,10 @@
 //! In the paper, "the *Injection Campaign Controller* reads the masks from
 //! the repository and sends injection requests to the *Injector Dispatcher*
 //! which is the module that directly communicates with the MARSS or Gem5
-//! simulator". [`InjectorDispatcher`] is that module's contract: MaFIN's
-//! implementation (over MarsSim) lives in `difi-mars`, GeFIN's (over GemSim)
-//! in `difi-gem`.
+//! simulator". [`InjectorDispatcher`] is that module's contract. It has one
+//! implementation, [`crate::substrate::SimDispatcher`]: MaFIN (over
+//! MarsSim) and GeFIN (over GemSim) are presets of it that differ only in
+//! their core configuration.
 
 use crate::model::{InjectionSpec, RawRunResult, RunLimits};
 use difi_isa::program::{Isa, Program};
@@ -20,10 +21,12 @@ use std::sync::Arc;
 ///
 /// Captured by [`InjectorDispatcher::golden_snapshots`] and consumed by
 /// [`InjectorDispatcher::run_from`], which downcasts `state` back to the
-/// dispatcher's concrete simulator type. The campaign controller only reads
-/// `cycle` — to pick, per mask, the latest snapshot at or before the
-/// injection cycle — and shares the set immutably across worker threads
-/// (restoring is a clone; the snapshot itself is never mutated).
+/// dispatcher's concrete simulator type and resumes it only when it was
+/// captured under the dispatcher's own configuration; any other snapshot
+/// runs cold. The campaign controller only reads `cycle` — to pick, per
+/// mask, the latest snapshot at or before the injection cycle — and shares
+/// the set immutably across worker threads (restoring is a clone; the
+/// snapshot itself is never mutated).
 pub struct GoldenSnapshot {
     /// Cycle at which the golden run was paused (state is exactly the
     /// cold-run state at the *top* of this cycle, before any of its work).

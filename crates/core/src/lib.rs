@@ -2,9 +2,9 @@
 //!
 //! The paper's primary contribution: a differential microarchitecture-level
 //! fault-injection framework in the MaFIN/GeFIN mold. Both injectors share
-//! this infrastructure and differ only in the simulator behind the
-//! [`dispatch::InjectorDispatcher`] trait (MarsSim for MaFIN, GemSim for
-//! GeFIN).
+//! this infrastructure and differ only in the core configuration behind one
+//! [`dispatch::InjectorDispatcher`] implementation,
+//! [`substrate::SimDispatcher`] (MarsSim for MaFIN, GemSim for GeFIN).
 //!
 //! Mirroring Fig. 1 of the paper, a campaign flows through three modules:
 //!
@@ -39,10 +39,7 @@ pub mod report;
 pub mod sink;
 pub mod substrate;
 
-pub use campaign::{
-    run_campaign, run_campaign_checkpointed, run_campaign_pruned, CampaignConfig, CampaignRunner,
-    PrunedCampaign, Strategy,
-};
+pub use campaign::{CampaignConfig, CampaignRunner, Strategy};
 pub use classify::{Classifier, Outcome};
 pub use dispatch::{GoldenSnapshot, InjectorDispatcher};
 pub use journal::{load_journal, CampaignHeader};

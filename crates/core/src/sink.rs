@@ -64,8 +64,7 @@ pub trait RunSink: Sync {
 }
 
 /// The in-memory collector: stores every run in its mask slot, yielding the
-/// ordered run vector of the final campaign log. This is the sink behind
-/// the classic `run_campaign*` entry points.
+/// ordered run vector of the final campaign log.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     slots: Mutex<Vec<Option<RunLog>>>,

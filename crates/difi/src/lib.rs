@@ -22,8 +22,9 @@
 //!
 //! let desc = difi_core::dispatch::structure_desc(&mafin, StructureId::IntRegFile).unwrap();
 //! let masks = MaskGenerator::new(42).transient(&desc, golden.cycles_measured(), 5);
-//! let log = run_campaign(&mafin, &program, StructureId::IntRegFile, 42, &masks,
-//!                        &CampaignConfig::default());
+//! let log = CampaignRunner::new(&mafin, &program, StructureId::IntRegFile, 42,
+//!                              &CampaignConfig::default())
+//!     .run(&masks);
 //! let counts = classify_log(&log);
 //! assert_eq!(counts.total(), 5);
 //! # Ok(())
@@ -32,9 +33,7 @@
 
 pub use difi_ace as ace;
 pub use difi_core as core;
-pub use difi_gem as gem;
 pub use difi_isa as isa;
-pub use difi_mars as mars;
 pub use difi_obs as obs;
 pub use difi_uarch as uarch;
 pub use difi_util as util;
@@ -42,15 +41,16 @@ pub use difi_workloads as workloads;
 
 /// The paper's three experimental setups.
 pub mod setups {
+    use difi_core::substrate::{GeFin, MaFin};
     use difi_core::InjectorDispatcher;
 
     /// Boxed dispatchers for MaFIN-x86, GeFIN-x86, GeFIN-ARM — the three
     /// bars of every figure, in the paper's order.
     pub fn all() -> Vec<Box<dyn InjectorDispatcher + Send>> {
         vec![
-            Box::new(difi_mars::MaFin::new()),
-            Box::new(difi_gem::GeFin::x86()),
-            Box::new(difi_gem::GeFin::arm()),
+            Box::new(MaFin::new()),
+            Box::new(GeFin::x86()),
+            Box::new(GeFin::arm()),
         ]
     }
 
@@ -72,11 +72,7 @@ pub mod setups {
 pub mod prelude {
     pub use crate::setups;
     pub use difi_ace::{AceProfile, ArchRegAvf, Liveness, RegSet, SiteClass, StaticAvf};
-    pub use difi_core::campaign::{
-        golden_run, run_campaign, run_campaign_checkpointed, run_campaign_collapsed,
-        run_campaign_pruned, CampaignConfig, CampaignRunner, CollapsedCampaign, PrunedCampaign,
-        Strategy,
-    };
+    pub use difi_core::campaign::{golden_run, CampaignConfig, CampaignRunner, Strategy};
     pub use difi_core::classify::{Classifier, FineOutcome, Outcome};
     pub use difi_core::dispatch::GoldenSnapshot;
     pub use difi_core::journal::{load_journal, CampaignHeader, JournalContents};
@@ -97,10 +93,9 @@ pub mod prelude {
         JournalSink, MemoryProfileSink, MemorySink, MemoryTraceSink, MetricsSink, ProgressSink,
         RunSink, TraceSink,
     };
+    pub use difi_core::substrate::{gem_config, mars_config, GeFin, MaFin};
     pub use difi_core::InjectorDispatcher;
-    pub use difi_gem::{gem_config, GeFin};
     pub use difi_isa::program::{Isa, Program};
-    pub use difi_mars::{mars_config, MaFin};
     pub use difi_obs::metrics::{
         Counter, CycleHistogram, Gauge, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
     };

@@ -1,7 +1,7 @@
 //! # difi-uarch
 //!
 //! Fault-injectable microarchitectural components shared by the two detailed
-//! simulators (MarsSim in `difi-mars`, GemSim in `difi-gem`).
+//! simulators (MarsSim and GemSim, configured in `difi_core::substrate`).
 //!
 //! The paper's injectors target *storage arrays*: "on-chip caches, register
 //! files, buffers, queues … occupy the majority of a chip's area and thus

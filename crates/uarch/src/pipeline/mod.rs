@@ -2,8 +2,8 @@
 //!
 //! One engine, two personalities: every policy switch in [`CorePolicy`]
 //! corresponds to a MARSS/gem5 difference the paper documents (§IV and
-//! Remarks 1–8). `difi-mars` instantiates the MARSS-flavoured configuration
-//! behind MaFIN; `difi-gem` the gem5-flavoured ones behind GeFIN. See
+//! Remarks 1–8). `difi_core::substrate` holds the MARSS-flavoured
+//! configuration behind MaFIN and the gem5-flavoured ones behind GeFIN. See
 //! DESIGN.md ("Engine-sharing note") for why the reproduction makes the
 //! divergences explicit knobs instead of duplicating the codebase.
 //!
@@ -723,6 +723,11 @@ impl OoOCore {
             scenario_fired_at: None,
             cfg,
         }
+    }
+
+    /// The configuration this core was booted with.
+    pub fn config(&self) -> &CoreConfig {
+        &self.cfg
     }
 
     /// The injectable structures of this configuration (the per-simulator

@@ -35,14 +35,14 @@ fn main() -> Result<(), difi::util::Error> {
         let desc = difi::core::dispatch::structure_desc(dispatcher.as_ref(), StructureId::L1dData)
             .expect("L1D data array is injectable");
         let masks = MaskGenerator::new(1843).transient(&desc, golden.cycles_measured(), n);
-        let log = run_campaign(
+        let log = CampaignRunner::new(
             dispatcher.as_ref(),
             &program,
             StructureId::L1dData,
             1843,
-            &masks,
             &CampaignConfig::default(),
-        );
+        )
+        .run(&masks);
         let counts = classify_log(&log);
         rows.push((dispatcher.name().to_string(), counts));
 
@@ -72,14 +72,14 @@ fn main() -> Result<(), difi::util::Error> {
                             golden.cycles_measured(),
                             n,
                         );
-                        let rf_log = run_campaign(
+                        let rf_log = CampaignRunner::new(
                             dispatcher.as_ref(),
                             &program,
                             StructureId::IntRegFile,
                             1843,
-                            &rf_masks,
                             &CampaignConfig::default(),
-                        );
+                        )
+                        .run(&rf_masks);
                         classify_log(&rf_log)
                     }
                 };

@@ -56,14 +56,14 @@ fn main() -> Result<(), difi::util::Error> {
         "model", "masked", "sdc", "due", "tmout", "crash", "assrt", "vuln%"
     );
     for (name, masks) in campaigns {
-        let log = run_campaign(
+        let log = CampaignRunner::new(
             &gefin,
             &program,
             StructureId::L1dData,
             404,
-            &masks,
             &CampaignConfig::default(),
-        );
+        )
+        .run(&masks);
         let c = classify_log(&log);
         println!(
             "{:<34} {:>7} {:>6} {:>6} {:>6} {:>6} {:>6} {:>7.1}",

@@ -41,7 +41,8 @@ fn main() -> Result<(), difi::util::Error> {
     for s in targets {
         let desc = difi::core::dispatch::structure_desc(&mafin, s).expect("injectable");
         let masks = MaskGenerator::new(7 + s as u64).transient(&desc, golden.cycles_measured(), n);
-        let log = run_campaign(&mafin, &program, s, 7, &masks, &CampaignConfig::default());
+        let log =
+            CampaignRunner::new(&mafin, &program, s, 7, &CampaignConfig::default()).run(&masks);
         let counts = classify_log(&log);
         results.push((s, counts.vulnerability(), desc.total_bits()));
     }

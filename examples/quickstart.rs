@@ -39,14 +39,14 @@ fn main() -> Result<(), difi::util::Error> {
 
     // 4. Run the injection campaign (parallel, with the paper's early-stop
     //    optimizations) and classify.
-    let log = run_campaign(
+    let log = CampaignRunner::new(
         &mafin,
         &program,
         StructureId::IntRegFile,
         2015,
-        &masks,
         &CampaignConfig::default(),
-    );
+    )
+    .run(&masks);
     let counts = classify_log(&log);
 
     println!("\nfault-effect classification ({} runs):", counts.total());

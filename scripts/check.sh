@@ -78,6 +78,21 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q
 
+echo "==> cargo test --workspace (release)"
+# Every crate's unit and doc tests, which the root-package run above skips.
+# Release, because the difi-uarch pipeline suite alone runs for minutes in
+# debug.
+cargo test --workspace --release -q
+
+echo "==> benchmark package (cellbench)"
+# The benchmark is a Cargo workspace of its own, so the workspace-wide
+# commands above never see it. Its probe-transparency test also checks that
+# warm starts still reach the dispatcher's snapshot methods.
+bench_manifest=cellbench/Cargo.toml
+cargo fmt --manifest-path "$bench_manifest" --check
+cargo clippy --manifest-path "$bench_manifest" --release --all-targets -- -D warnings
+cargo test --manifest-path "$bench_manifest" -q --release
+
 echo "==> warm-start checkpoint equivalence (release)"
 # The differential oracle for the checkpointed campaign engine: run it
 # explicitly (and in release — it simulates full campaigns twice).

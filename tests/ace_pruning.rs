@@ -19,31 +19,45 @@ fn profile_for(dispatcher: &dyn InjectorDispatcher, program: &Program) -> AcePro
     AceProfile::new(log).expect("int_prf is a data plane")
 }
 
+/// A campaign run under [`Strategy::Pruned`], with the split its pruner
+/// made.
+struct Pruned {
+    log: CampaignLog,
+    /// Spec ids classified Masked before dispatch.
+    pruned_ids: Vec<u64>,
+    /// Masks dispatched to the simulator.
+    dispatched: usize,
+}
+
 fn pruned_campaign(
     dispatcher: &dyn InjectorDispatcher,
     bench: Bench,
     n: u64,
     seed: u64,
-) -> (PrunedCampaign, Vec<InjectionSpec>, Program) {
+) -> (Pruned, Vec<InjectionSpec>, Program) {
     let program = build(bench, dispatcher.isa()).expect("assembles");
     let golden = golden_run(dispatcher, &program, MAX_CYCLES);
     let desc = difi::core::dispatch::structure_desc(dispatcher, STRUCTURE).expect("injectable");
     let masks = MaskGenerator::new(seed).transient(&desc, golden.cycles_measured(), n);
     let profile = profile_for(dispatcher, &program);
-    let pruned = run_campaign_pruned(
-        dispatcher,
-        &program,
-        STRUCTURE,
-        seed,
-        &masks,
-        &CampaignConfig {
-            threads: 2,
-            early_stop: true,
-            golden_max_cycles: MAX_CYCLES,
-        },
-        &profile,
-    );
+    let log = CampaignRunner::new(dispatcher, &program, STRUCTURE, seed, &cfg())
+        .with_strategy(Strategy::Pruned { profile: &profile })
+        .run(&masks);
+    let (pruned, dispatch) = partition_provably_masked(&masks, &profile);
+    let pruned = Pruned {
+        log,
+        pruned_ids: pruned.iter().map(|&i| masks[i].id).collect(),
+        dispatched: dispatch.len(),
+    };
     (pruned, masks, program)
+}
+
+fn cfg() -> CampaignConfig {
+    CampaignConfig {
+        threads: 2,
+        early_stop: true,
+        golden_max_cycles: MAX_CYCLES,
+    }
 }
 
 #[test]
@@ -89,18 +103,7 @@ fn pruning_saves_dispatches_with_identical_totals() {
     let backends: [&dyn InjectorDispatcher; 2] = [&mafin, &gefin];
     for dispatcher in backends {
         let (pruned, masks, program) = pruned_campaign(dispatcher, Bench::Fft, 20, 7);
-        let baseline = run_campaign(
-            dispatcher,
-            &program,
-            STRUCTURE,
-            7,
-            &masks,
-            &CampaignConfig {
-                threads: 2,
-                early_stop: true,
-                golden_max_cycles: MAX_CYCLES,
-            },
-        );
+        let baseline = CampaignRunner::new(dispatcher, &program, STRUCTURE, 7, &cfg()).run(&masks);
         // Fewer dispatches, nothing dropped.
         assert!(
             pruned.dispatched < masks.len(),

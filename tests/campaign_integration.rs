@@ -15,18 +15,18 @@ fn small_campaign(
     let golden = golden_run(dispatcher, &program, 200_000_000);
     let desc = difi::core::dispatch::structure_desc(dispatcher, structure).expect("injectable");
     let masks = MaskGenerator::new(99).transient(&desc, golden.cycles_measured(), n);
-    run_campaign(
+    CampaignRunner::new(
         dispatcher,
         &program,
         structure,
         99,
-        &masks,
         &CampaignConfig {
             threads: 1,
             early_stop,
             golden_max_cycles: 200_000_000,
         },
     )
+    .run(&masks)
 }
 
 #[test]
@@ -118,14 +118,14 @@ fn multi_fault_masks_run_end_to_end() {
     let mut gen = MaskGenerator::new(5);
     let mut masks = gen.multi_bit_same_entry(&l1d, golden.cycles_measured(), 3, 5);
     masks.extend(gen.multi_structure(&[l1d, rf], golden.cycles_measured(), 5));
-    let log = run_campaign(
+    let log = CampaignRunner::new(
         &mafin,
         &program,
         StructureId::L1dData,
         5,
-        &masks,
         &CampaignConfig::default(),
-    );
+    )
+    .run(&masks);
     assert_eq!(log.runs.len(), 10);
     assert_eq!(classify_log(&log).total(), 10);
 }
@@ -139,14 +139,14 @@ fn intermittent_and_permanent_models_run_end_to_end() {
     let mut gen = MaskGenerator::new(6);
     let mut masks = gen.intermittent(&desc, golden.cycles_measured(), 500, 6);
     masks.extend(gen.permanent(&desc, 6));
-    let log = run_campaign(
+    let log = CampaignRunner::new(
         &gefin,
         &program,
         StructureId::IntRegFile,
         6,
-        &masks,
         &CampaignConfig::default(),
-    );
+    )
+    .run(&masks);
     let counts = classify_log(&log);
     assert_eq!(counts.total(), 12);
 }

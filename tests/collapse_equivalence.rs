@@ -94,18 +94,23 @@ fn collapsed_campaign_classifies_every_mask_like_the_full_campaign() {
             let desc = difi::core::dispatch::structure_desc(d, STRUCTURE).expect("injectable");
             let profile = profile_for(d, &program);
             let masks = sweep_masks(&profile, &desc, golden.cycles_measured(), 2015);
-            let full = run_campaign(d, &program, STRUCTURE, 2015, &masks, &cfg());
-            let collapsed =
-                run_campaign_collapsed(d, &program, STRUCTURE, 2015, &masks, &cfg(), &profile);
+            let full = CampaignRunner::new(d, &program, STRUCTURE, 2015, &cfg()).run(&masks);
+            let collapsed = CampaignRunner::new(d, &program, STRUCTURE, 2015, &cfg())
+                .with_strategy(Strategy::Collapsed {
+                    profile: &profile,
+                    checkpoints: 0,
+                })
+                .run(&masks);
+            let dispatched = partition_equivalence(&masks, &profile).dispatch_count();
             assert!(
-                collapsed.dispatched < masks.len(),
+                dispatched < masks.len(),
                 "{} {}: a dense sweep must collapse",
                 d.name(),
                 bench.name()
             );
-            assert_eq!(full.runs.len(), collapsed.log.runs.len());
+            assert_eq!(full.runs.len(), collapsed.runs.len());
             let classifier = Classifier::from_golden(&full.golden);
-            for (a, b) in full.runs.iter().zip(&collapsed.log.runs) {
+            for (a, b) in full.runs.iter().zip(&collapsed.runs) {
                 assert_eq!(a.spec.id, b.spec.id);
                 assert_eq!(
                     classifier.classify(&a.result),
@@ -137,20 +142,30 @@ fn collapse_saves_dispatches_with_sound_provenance() {
     let desc = difi::core::dispatch::structure_desc(&mafin, STRUCTURE).expect("injectable");
     let profile = profile_for(&mafin, &program);
     let masks = sweep_masks(&profile, &desc, golden.cycles_measured(), 99);
-    let collapsed =
-        run_campaign_collapsed(&mafin, &program, STRUCTURE, 99, &masks, &cfg(), &profile);
-    let part = &collapsed.partition;
+    let collapsed = CampaignRunner::new(&mafin, &program, STRUCTURE, 99, &cfg())
+        .with_strategy(Strategy::Collapsed {
+            profile: &profile,
+            checkpoints: 0,
+        })
+        .run(&masks);
+    let part = &partition_equivalence(&masks, &profile);
+    // Only dispatched runs executed; every other run carries no measurements.
+    let dispatched = collapsed
+        .runs
+        .iter()
+        .filter(|r| r.result.is_measured())
+        .count();
     assert!(
         part.collapse_ratio() > 1.0,
         "dense sweep must yield a ratio above 1x, got {:.3}",
         part.collapse_ratio()
     );
-    assert_eq!(collapsed.dispatched, part.dispatch_count());
-    assert!(collapsed.dispatched < masks.len());
+    assert_eq!(dispatched, part.dispatch_count());
+    assert!(dispatched < masks.len());
 
     // Every run's provenance matches the partition's own record.
     let prov = part.provenance(&masks);
-    for (i, run) in collapsed.log.runs.iter().enumerate() {
+    for (i, run) in collapsed.runs.iter().enumerate() {
         assert_eq!(
             run.provenance,
             Some(prov[i]),
@@ -164,7 +179,7 @@ fn collapse_saves_dispatches_with_sound_provenance() {
             for &i in &class.members {
                 assert!(
                     matches!(
-                        collapsed.log.runs[i].result.status,
+                        collapsed.runs[i].result.status,
                         RunStatus::EarlyStopMasked(EarlyStop::StaticallyPruned)
                     ),
                     "dead-class member {i} was not statically resolved"
@@ -173,12 +188,12 @@ fn collapse_saves_dispatches_with_sound_provenance() {
         } else {
             // One representative ran; members inherit its classification
             // fields but no fabricated measurements.
-            let rep = &collapsed.log.runs[class.representative()].result;
+            let rep = &collapsed.runs[class.representative()].result;
             for &i in &class.members {
                 if i == class.representative() {
                     continue;
                 }
-                let m = &collapsed.log.runs[i].result;
+                let m = &collapsed.runs[i].result;
                 assert_eq!(m.status, rep.status);
                 assert_eq!(m.output, rep.output);
                 assert_eq!(m.exceptions, rep.exceptions);

@@ -102,7 +102,7 @@ fn profiles_are_identical_across_all_strategies() {
 
             // Profiling observes, never perturbs: the profiled log is
             // byte-identical to a plain unprofiled campaign.
-            let plain = run_campaign(d, &c.program, STRUCTURE, 1979, &c.masks, &c.cfg);
+            let plain = CampaignRunner::new(d, &c.program, STRUCTURE, 1979, &c.cfg).run(&c.masks);
             assert_eq!(
                 plain, cold_log,
                 "{tag}: enabling profiling changed the campaign log"

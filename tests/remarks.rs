@@ -186,14 +186,14 @@ fn remark8_assert_vs_crash_composition() {
             }
         }
         let _ = desc;
-        let log = run_campaign(
+        let log = CampaignRunner::new(
             dispatcher.as_ref(),
             &program,
             StructureId::L1iData,
             0,
-            &masks,
             &CampaignConfig::default(),
-        );
+        )
+        .run(&masks);
         *counts = classify_log(&log);
     }
     assert!(

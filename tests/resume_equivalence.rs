@@ -183,14 +183,8 @@ fn resume_composes_with_the_warm_start_strategy() {
     assert_eq!(full, resumed, "warm-start resume diverged");
 
     // And the whole family agrees with the cold-start oracle.
-    let cold = run_campaign(
-        &mafin,
-        &c.program,
-        StructureId::L2Data,
-        1979,
-        &c.masks,
-        &c.cfg,
-    );
+    let cold =
+        CampaignRunner::new(&mafin, &c.program, StructureId::L2Data, 1979, &c.cfg).run(&c.masks);
     assert_eq!(cold, resumed, "resumed warm log diverged from cold oracle");
     std::fs::remove_file(&path).ok();
 }

@@ -98,7 +98,8 @@ fn traces_are_identical_across_all_strategies() {
 
             // Tracing observes, never perturbs: the traced log is
             // byte-identical to a plain untraced campaign.
-            let plain = run_campaign(d, &c.program, StructureId::L2Data, 1979, &c.masks, &c.cfg);
+            let plain =
+                CampaignRunner::new(d, &c.program, StructureId::L2Data, 1979, &c.cfg).run(&c.masks);
             assert_eq!(
                 plain, cold_log,
                 "{tag}: enabling tracing changed the campaign log"

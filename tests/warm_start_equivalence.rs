@@ -38,16 +38,10 @@ fn campaign_pair(
         early_stop: true,
         golden_max_cycles: 200_000_000,
     };
-    let cold = run_campaign(dispatcher, &program, structure, 1979, &masks, &cfg);
-    let warm = run_campaign_checkpointed(
-        dispatcher,
-        &program,
-        structure,
-        1979,
-        &masks,
-        &cfg,
-        checkpoints,
-    );
+    let cold = CampaignRunner::new(dispatcher, &program, structure, 1979, &cfg).run(&masks);
+    let warm = CampaignRunner::new(dispatcher, &program, structure, 1979, &cfg)
+        .with_strategy(Strategy::Checkpointed { checkpoints })
+        .run(&masks);
     (cold, warm)
 }
 
@@ -128,4 +122,32 @@ fn snapshots_capture_and_resume_mid_run() {
         .golden_snapshots(&program, &[g / 2, g.saturating_mul(10)], &limits)
         .expect("supported");
     assert_eq!(tail.len(), 1, "unreachable checkpoint is dropped");
+}
+
+#[test]
+fn a_snapshot_of_another_configuration_runs_cold() {
+    // MaFIN-x86 and GeFIN-x86 simulate the same x86e program, so each can
+    // downcast the other's snapshot to a core; resuming it would continue
+    // the other simulator. A warm run must equal its own dispatcher's cold
+    // run whichever setup captured the snapshot.
+    let (mafin, gefin) = (MaFin::new(), GeFin::x86());
+    let program = build(Bench::Sha, Isa::X86e).expect("assembles");
+    let spec = InjectionSpec::single_transient(0, StructureId::IntRegFile, 3, 5, 96_805);
+    let pairs: [(&dyn InjectorDispatcher, &dyn InjectorDispatcher); 2] =
+        [(&mafin, &gefin), (&gefin, &mafin)];
+    for (captured_by, runs) in pairs {
+        let golden = golden_run(runs, &program, 200_000_000);
+        let limits = RunLimits::campaign(golden.cycles_measured());
+        let snaps = captured_by
+            .golden_snapshots(&program, &[96_795], &limits)
+            .expect("snapshots are supported");
+        assert_eq!(snaps.len(), 1, "the checkpoint is inside the golden run");
+        assert_eq!(
+            runs.run_from(&snaps[0], &program, &spec, &limits),
+            runs.run(&program, &spec, &limits),
+            "{} resumed a {} snapshot",
+            runs.name(),
+            captured_by.name()
+        );
+    }
 }
