@@ -1,17 +1,17 @@
 //! Fault-equivalence site classification: the static core of mask-space
 //! collapsing.
 //!
-//! [`AceProfile::is_provably_masked`](crate::AceProfile::is_provably_masked)
-//! answers a *binary* question per fault site. This module refines it into a
-//! three-way partition of the (entry, bit, cycle) space, each part carrying a
-//! machine-checkable equivalence argument:
+//! This module partitions the (entry, bit, cycle) space of one structure
+//! into three parts, each carrying a machine-checkable equivalence argument
+//! ([`AceProfile::is_provably_masked`](crate::AceProfile::is_provably_masked)
+//! is the binary view: "is the site dead?"):
 //!
 //! * [`SiteClass::Dead`] — the first recorded access at cycle ≥ *c*
 //!   overlapping the bit is a **write**, or no such access exists and the
 //!   trace is complete. The corruption is erased (or never consumed); the
 //!   run is provably masked. All dead sites of one (entry, bit) pair that
-//!   share the same erasing event behave identically — they are the
-//!   degenerate "provably masked" class of PR 1.
+//!   share the same erasing event behave identically — the degenerate
+//!   "provably masked" class.
 //! * [`SiteClass::Latched`] — the first recorded access at cycle ≥ *c*
 //!   overlapping the bit is a **read**, at event index *k* of the entry's
 //!   trace. The flipped bit sits untouched from injection until that read
@@ -66,12 +66,9 @@ pub enum SiteClass {
 }
 
 impl AceProfile {
-    /// Classifies the transient-flip site (`entry`, `bit`, top of `cycle`).
-    ///
-    /// Iterates the entry's event list in exactly the order
-    /// [`is_provably_masked`](AceProfile::is_provably_masked) does, so
-    /// `site_class(...) matches Dead { .. }` **iff**
-    /// `is_provably_masked(...)` — asserted by unit test.
+    /// Classifies the transient-flip site (`entry`, `bit`, top of `cycle`)
+    /// by the first access at cycle ≥ `cycle` in the entry's event list
+    /// that covers `bit`.
     pub fn site_class(&self, entry: u64, bit: u32, cycle: u64) -> SiteClass {
         if entry >= self.log().entries || u64::from(bit) >= self.log().bits {
             return SiteClass::Unproven;
@@ -265,36 +262,5 @@ mod tests {
         let p = profile(|_| {}, 100);
         assert_eq!(p.site_class(99, 0, 0), SiteClass::Unproven);
         assert_eq!(p.site_class(0, 64, 0), SiteClass::Unproven);
-    }
-
-    #[test]
-    fn dead_iff_provably_masked() {
-        // The partitioner's degenerate class must coincide exactly with the
-        // PR 1 binary verdict, over a trace mixing all event shapes.
-        let p = profile(
-            |t| {
-                t.set_cycle(5);
-                t.on_write(0, 0, 32);
-                t.set_cycle(9);
-                t.on_read(0, 16, 32);
-                t.set_cycle(14);
-                t.on_write(1, 0, 64);
-                t.set_cycle(14);
-                t.on_read(1, 0, 8);
-            },
-            40,
-        );
-        for entry in 0..4u64 {
-            for bit in (0..64u32).step_by(7) {
-                for cycle in 0..40u64 {
-                    let dead = matches!(p.site_class(entry, bit, cycle), SiteClass::Dead { .. });
-                    assert_eq!(
-                        dead,
-                        p.is_provably_masked(entry, bit, cycle),
-                        "site ({entry}, {bit}, {cycle})"
-                    );
-                }
-            }
-        }
     }
 }

@@ -5,29 +5,25 @@
 //!
 //! Injection campaigns measure vulnerability by brute force; ACE analysis
 //! (Mukherjee et al., MICRO-36) bounds it by reasoning about which bits can
-//! affect Correct Execution. This crate provides both static passes the
-//! study compares against its measured campaigns:
+//! affect Correct Execution. This crate reasons over one golden-run
+//! structure-residency trace ([`difi_uarch::residency`]):
 //!
-//! * [`liveness`] — µop-level dataflow over the decoded program: CFG
-//!   recovery, per-register def-use chains, and backward liveness marking
-//!   architectural register bits ACE/un-ACE at every program point.
-//! * [`residency`] — consumption of golden-run structure-residency traces
-//!   ([`difi_uarch::residency`]): per-site provably-masked queries used to
-//!   prune injection campaigns before dispatch, and occupancy-weighted
-//!   static AVF estimates per structure.
-//! * [`equivalence`] — the refinement of the binary masked/unmasked verdict
-//!   into a three-way site classification (dead / latched / unproven) whose
-//!   latch classes let a campaign run one representative fault per
-//!   write-to-first-read interval and replicate its result to the rest.
+//! * [`residency`] — the queryable [`AceProfile`]: occupancy-weighted
+//!   static AVF estimates per structure, and the per-site provably-masked
+//!   query.
+//! * [`equivalence`] — the three-way site classification (dead / latched /
+//!   unproven) the campaign controller collapses masks by: dead sites
+//!   resolve without dispatch, and each latch class runs one representative
+//!   fault per write-to-first-read interval and replicates its result to
+//!   the rest.
 //!
 //! Everything is conservative in the safe direction: a site this crate
 //! calls masked is masked along every execution the analysis models, so
-//! pruning never changes a campaign's verdict — only its cost.
+//! resolving it statically never changes a campaign's verdict — only its
+//! cost.
 
 pub mod equivalence;
-pub mod liveness;
 pub mod residency;
 
 pub use equivalence::SiteClass;
-pub use liveness::{ArchRegAvf, DefUseChain, InstInfo, Liveness, RegSet, NUM_REGS};
 pub use residency::{AceProfile, StaticAvf};

@@ -5,13 +5,14 @@
 //! reads and writes ([`ResidencyLog`]). From that single trace this module
 //! answers two questions:
 //!
-//! 1. **Pruning** — is a transient flip of bit *b* of entry *e* at cycle *c*
+//! 1. **Masking** — is a transient flip of bit *b* of entry *e* at cycle *c*
 //!    provably masked? Yes iff the first recorded access at cycle ≥ *c*
 //!    that overlaps *b* is a *write* (the corrupt value is overwritten
 //!    before any read), or no such access exists *and* the trace is
 //!    complete (the corrupt value is never consumed). This is exactly the
 //!    dynamic counterpart of the paper's §III.B.2 early-stop rules, applied
-//!    *before dispatch* instead of inside the simulator.
+//!    *before dispatch* instead of inside the simulator; the site
+//!    classification in [`crate::equivalence`] decides it.
 //! 2. **Static AVF** — what fraction of the structure's bit-cycles are ACE?
 //!    A bit-cycle is ACE when the value it holds is eventually read before
 //!    being overwritten; summing read-terminated windows over the trace
@@ -22,6 +23,7 @@
 //! ([`residency_prune_safe`]);
 //! [`AceProfile::new`] refuses control-plane traces.
 
+use crate::equivalence::SiteClass;
 use difi_uarch::fault::StructureId;
 use difi_uarch::residency::{residency_prune_safe, ResidencyLog};
 
@@ -73,7 +75,8 @@ impl AceProfile {
     }
 
     /// True when a transient flip of `bit` of `entry` at the top of cycle
-    /// `cycle` is **provably masked** in the traced execution.
+    /// `cycle` is **provably masked** in the traced execution: the site is
+    /// [`SiteClass::Dead`].
     ///
     /// Soundness: fault application happens at the top of the cycle, before
     /// any access of that cycle, so every recorded event with
@@ -83,16 +86,7 @@ impl AceProfile {
     /// corruption is never consumed. In both cases the architectural
     /// outcome is byte-for-byte the golden one.
     pub fn is_provably_masked(&self, entry: u64, bit: u32, cycle: u64) -> bool {
-        if entry >= self.log.entries || u64::from(bit) >= self.log.bits {
-            return false;
-        }
-        for e in self.log.events_for(entry) {
-            if e.cycle < cycle || !e.covers(bit) {
-                continue;
-            }
-            return e.write;
-        }
-        self.log.complete
+        matches!(self.site_class(entry, bit, cycle), SiteClass::Dead { .. })
     }
 
     /// Occupancy-weighted static AVF of the structure.

@@ -46,8 +46,14 @@
 //! implies `--profile` and additionally writes the aggregate report
 //! (counters + occupancy histograms) as JSON. Tracing takes precedence:
 //! with `--trace` the profiler is disabled for the traced runs.
+//!
+//! An argument that is neither a documented flag nor the value of a value
+//! flag (including a value flag with no value, or whose value starts with
+//! `--`) is an error: `campaign` names it, prints the usage on stderr and
+//! exits with status 2.
 
 use difi::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const USAGE: &str = "\
@@ -101,14 +107,71 @@ OPTIONS:
   -h, --help            print this help and exit
 ";
 
+/// The flags of `USAGE` that take a value.
+const VALUE_FLAGS: [&str; 17] = [
+    "--injector",
+    "--bench",
+    "--structure",
+    "--injections",
+    "--seed",
+    "--model",
+    "--window",
+    "--scenario",
+    "--sweep-start",
+    "--sweep-len",
+    "--out",
+    "--journal",
+    "--resume",
+    "--checkpoints",
+    "--trace",
+    "--metrics-out",
+    "--profile-out",
+];
+
+/// The flags of `USAGE` that take no value.
+const SWITCHES: [&str; 8] = [
+    "--sweep",
+    "--progress",
+    "--collapse",
+    "--no-early-stop",
+    "--fine",
+    "--profile",
+    "-h",
+    "--help",
+];
+
+/// Splits the command line into value-flag values (the first occurrence
+/// wins) and switches, or names the first argument that is neither.
+fn parse_args(args: &[String]) -> Result<(BTreeMap<&str, &str>, BTreeSet<&str>), String> {
+    let mut values = BTreeMap::new();
+    let mut switches = BTreeSet::new();
+    let mut it = args.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        if VALUE_FLAGS.contains(&arg) {
+            match it.next() {
+                Some(v) if !v.starts_with("--") => {
+                    values.entry(arg).or_insert(v);
+                }
+                _ => return Err(format!("missing value for {arg}")),
+            }
+        } else if SWITCHES.contains(&arg) {
+            switches.insert(arg);
+        } else {
+            return Err(format!("unknown argument {arg}"));
+        }
+    }
+    Ok((values, switches))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let has = |flag: &str| args.iter().any(|a| a == flag);
+    let (values, switches) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprint!("{USAGE}");
+        std::process::exit(2);
+    });
+    let get = |flag: &str| values.get(flag).map(|v| v.to_string());
+    let has = |flag: &str| switches.contains(flag);
     if has("--help") || has("-h") {
         print!("{USAGE}");
         return;

@@ -14,12 +14,12 @@
 //! * **[`Strategy`]** — *how* each mask executes: [`Strategy::Cold`] boots
 //!   a fresh simulator per run; [`Strategy::Checkpointed`] is the
 //!   warm-start engine (golden-run snapshots shared across workers,
-//!   byte-identical to cold by the PR-2 equivalence oracle);
-//!   [`Strategy::Pruned`] logs statically-proven-masked runs without
-//!   dispatch; [`Strategy::Collapsed`] partitions the mask space into
-//!   provably-equivalent classes (`difi_ace::equivalence`), simulates one
-//!   representative per class, and replicates its result to the members —
-//!   every run stamped with auditable [`ClassProvenance`].
+//!   byte-identical to cold by the warm-start equivalence oracle);
+//!   [`Strategy::Collapsed`] partitions the mask space into
+//!   provably-equivalent classes (`difi_ace::equivalence`), logs the
+//!   provably-masked ones without dispatch, simulates one representative
+//!   per remaining class, and replicates its result to the members — every
+//!   run stamped with auditable [`ClassProvenance`].
 //! * **[`RunSink`]s** — *where* completed runs stream: workers push each
 //!   [`RunLog`] to every sink the moment it finishes, so campaigns persist
 //!   incrementally ([`crate::sink::JournalSink`]), report progress live
@@ -40,7 +40,7 @@ use crate::classify::Classifier;
 use crate::dispatch::{GoldenSnapshot, InjectorDispatcher};
 use crate::journal::{load_journal, truncate_to_valid, CampaignHeader};
 use crate::logs::{CampaignLog, RunLog};
-use crate::masks::{partition_equivalence, partition_provably_masked, MaskPartition};
+use crate::masks::{partition_equivalence, MaskPartition};
 use crate::model::{
     ClassProvenance, EarlyStop, InjectTime, InjectionSpec, ProofKind, RawRunResult, RunLimits,
     RunStatus,
@@ -93,19 +93,12 @@ pub enum Strategy<'a> {
         /// Number of evenly spaced golden-run checkpoints.
         checkpoints: usize,
     },
-    /// Masks the static ACE analysis proves masked are logged as
-    /// [`EarlyStop::StaticallyPruned`] without dispatch; the rest run cold.
-    /// Pruned runs carry no measurements ([`RawRunResult::unexecuted`]):
-    /// they never executed, so a fabricated `cycles: 0` would poison cycle
-    /// aggregates.
-    Pruned {
-        /// Golden-run residency profile to prune against.
-        profile: &'a AceProfile,
-    },
-    /// Fault-equivalence collapsing
-    /// ([`partition_equivalence`]):
-    /// dead classes resolve without dispatch (like [`Strategy::Pruned`]);
-    /// each latch class dispatches only its representative, whose
+    /// Fault-equivalence collapsing ([`partition_equivalence`]). Dead
+    /// classes — the masks the static ACE analysis proves masked — are
+    /// logged as [`EarlyStop::StaticallyPruned`] without dispatch and carry
+    /// no measurements ([`RawRunResult::unexecuted`]: they never executed,
+    /// so a fabricated `cycles: 0` would poison cycle aggregates). Each
+    /// latch class dispatches only its representative, whose
     /// classification-relevant result fields replicate to the members;
     /// singletons run normally. Every run — representative, member, or dead
     /// — carries its [`ClassProvenance`] in the log and journal, so resume
@@ -225,7 +218,7 @@ fn run_caught(
 /// member's own run would produce exactly these. Per-run measurements
 /// (cycles, instructions) stay `None`: the member never executed, and
 /// fabricated timings would poison cycle aggregates (the same rule
-/// [`RawRunResult::unexecuted`] applies to pruned runs).
+/// [`RawRunResult::unexecuted`] applies to dead-class runs).
 fn replicate_result(rep: &RawRunResult) -> RawRunResult {
     RawRunResult {
         status: rep.status.clone(),
@@ -637,29 +630,10 @@ impl<'a> CampaignRunner<'a> {
             done[i] = true;
         }
 
-        // Strategy preprocessing: statically pruned masks resolve without
-        // dispatch (and stream to sinks like any completed run).
-        if let Strategy::Pruned { profile } = self.strategy {
-            let (pruned, _) = partition_provably_masked(masks, profile);
-            for i in pruned {
-                if done[i] {
-                    continue;
-                }
-                let log = RunLog {
-                    spec: masks[i].clone(),
-                    result: RawRunResult::unexecuted(RunStatus::EarlyStopMasked(
-                        EarlyStop::StaticallyPruned,
-                    )),
-                    provenance: None,
-                };
-                deliver(metrics_sink.as_ref(), i, &log, None, None);
-                done[i] = true;
-            }
-        }
-
         // Strategy preprocessing: fault-equivalence collapsing. Dead
-        // classes resolve statically like pruning; every run carries its
-        // class provenance. A latch/singleton class with a journaled member
+        // classes resolve without dispatch (and stream to sinks like any
+        // completed run); every run carries its class provenance. A
+        // latch/singleton class with a journaled member
         // replicates from it without dispatch; the rest become
         // (representative, members-to-replicate) jobs, so the journal
         // always records a class's evidence before its dependents — a torn
@@ -807,7 +781,7 @@ impl<'a> CampaignRunner<'a> {
         let jobs = jobs;
 
         // One runner closure serves every strategy: with no snapshots
-        // captured (cold / pruned / unsupported dispatcher) every mask
+        // captured (cold / unsupported dispatcher) every mask
         // falls back to the always-correct cold path. With tracing on, the
         // traced dispatcher paths carry the event stream alongside the
         // (byte-identical) result.
@@ -1453,41 +1427,6 @@ mod tests {
         // And the journal it wrote is complete.
         let back = load_journal(&path).expect("journal loads");
         assert_eq!(back.runs.len(), 5);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn pruned_strategy_streams_pruned_runs_to_sinks() {
-        // A journaled pruned campaign journals its statically-pruned runs
-        // too — resume must not re-dispatch them.
-        use difi_ace::AceProfile;
-
-        let path = temp_journal("pruned.jsonl");
-        let cfg = CampaignConfig {
-            threads: 1,
-            ..Default::default()
-        };
-        let p = program();
-        let m = masks(6);
-        // An incomplete empty profile proves nothing masked; the strategy
-        // still works end-to-end (all masks dispatch). A full pruning test
-        // with a real profile lives in tests/ace_pruning.rs.
-        let profile = AceProfile::new(difi_uarch::residency::ResidencyLog {
-            structure: StructureId::IntRegFile,
-            entries: 8,
-            bits: 64,
-            cycles: 0,
-            complete: false,
-            events: std::collections::BTreeMap::new(),
-        })
-        .expect("int_prf is a data plane");
-        let d = FakeDispatcher::new();
-        let runner = CampaignRunner::new(&d, &p, StructureId::IntRegFile, 4, &cfg)
-            .with_strategy(Strategy::Pruned { profile: &profile });
-        let log = runner.run_journaled(&m, &path, &[]).expect("journaled run");
-        assert_eq!(log.runs.len(), 6);
-        let back = load_journal(&path).expect("journal loads");
-        assert_eq!(back.runs.len(), 6, "every run journaled");
         std::fs::remove_file(&path).ok();
     }
 

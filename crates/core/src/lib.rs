@@ -16,7 +16,7 @@
 //!    [`campaign::CampaignRunner`] execution core drains the masks
 //!    repository through an [`dispatch::InjectorDispatcher`] under a
 //!    pluggable [`campaign::Strategy`] (cold / checkpointed warm-start /
-//!    statically pruned), applying the paper's §III.B.2 early-stop
+//!    equivalence-collapsed), applying the paper's §III.B.2 early-stop
 //!    optimizations in parallel worker threads. Completed runs stream to
 //!    [`sink::RunSink`]s — in-memory collection, an append-only JSONL
 //!    [`journal`] enabling crash-resume, and live progress telemetry — and

@@ -424,7 +424,7 @@ impl MaskGenerator {
 /// profile to reason about, so [`InjectionSpec::faults`] returns an empty
 /// slice for them and this predicate is `false` — never-prune is the sound
 /// default for any non-bit-flip scenario.
-pub fn spec_provably_masked(spec: &InjectionSpec, profile: &AceProfile) -> bool {
+fn spec_provably_masked(spec: &InjectionSpec, profile: &AceProfile) -> bool {
     !spec.faults().is_empty()
         && spec.faults().iter().all(|f| {
             f.kind == FaultKindSer::Flip
@@ -433,26 +433,6 @@ pub fn spec_provably_masked(spec: &InjectionSpec, profile: &AceProfile) -> bool 
                 && matches!(f.at, InjectTime::Cycle(c)
                     if profile.is_provably_masked(f.entry, f.bit, c))
         })
-}
-
-/// Splits a masks repository into (provably-masked, must-dispatch) index
-/// sets. Pruned masks are returned, never dropped: the campaign controller
-/// logs each as an [`EarlyStop::StaticallyPruned`](crate::model::EarlyStop)
-/// run.
-pub fn partition_provably_masked(
-    masks: &[InjectionSpec],
-    profile: &AceProfile,
-) -> (Vec<usize>, Vec<usize>) {
-    let mut pruned = Vec::new();
-    let mut dispatch = Vec::new();
-    for (i, m) in masks.iter().enumerate() {
-        if spec_provably_masked(m, profile) {
-            pruned.push(i);
-        } else {
-            dispatch.push(i);
-        }
-    }
-    (pruned, dispatch)
 }
 
 /// One fault-equivalence class over a masks repository.
@@ -498,7 +478,7 @@ impl MaskPartition {
     }
 
     /// Simulator dispatches a collapsed campaign needs: one representative
-    /// per non-dead class (dead classes resolve statically, like pruning).
+    /// per non-dead class (dead classes resolve statically).
     pub fn dispatch_count(&self) -> usize {
         self.classes
             .iter()
@@ -547,9 +527,8 @@ impl MaskPartition {
 ///
 /// Only the exact shape the profile reasons about is eligible for
 /// non-trivial classes — a *single* cycle-timed transient flip into the
-/// profile's own (data-plane) structure, mirroring
-/// [`spec_provably_masked`]'s gate. For eligible masks,
-/// [`SiteClass`] decides the class:
+/// profile's own (data-plane) structure. For eligible masks, [`SiteClass`]
+/// decides the class:
 ///
 /// * `Dead` sites of one (entry, bit) sharing the same erasing event merge
 ///   into one [`ProofKind::DeadInterval`] class, resolved without dispatch;
@@ -559,9 +538,9 @@ impl MaskPartition {
 /// * `Unproven` sites become [`ProofKind::Singleton`] classes.
 ///
 /// Ineligible masks become singletons too, with one exception: a
-/// *multi-fault* spec that [`spec_provably_masked`] proves dead keeps its
-/// PR 1 pruning as a one-member `DeadInterval` class, so collapsing never
-/// dispatches more than pruning would.
+/// *multi-fault* spec whose every fault is a cycle-timed transient flip of
+/// a provably dead site becomes a one-member `DeadInterval` class (the
+/// per-fault proofs compose; DESIGN.md §7).
 ///
 /// Classes never span distinct (entry, bit) pairs or different specs'
 /// fault shapes; every mask lands in exactly one class.
@@ -792,9 +771,12 @@ mod tests {
         assert!(!spec_provably_masked(&empty, &profile));
 
         let masks = vec![transient, by_instr];
-        let (pruned, dispatch) = partition_provably_masked(&masks, &profile);
-        assert_eq!(pruned, vec![0]);
-        assert_eq!(dispatch, vec![1]);
+        let proofs: Vec<ProofKind> = partition_equivalence(&masks, &profile)
+            .classes
+            .iter()
+            .map(|c| c.proof)
+            .collect();
+        assert_eq!(proofs, vec![ProofKind::DeadInterval, ProofKind::Singleton]);
     }
 
     fn traced_profile() -> AceProfile {
@@ -884,7 +866,7 @@ mod tests {
     #[test]
     fn partition_dead_classes_agree_with_binary_pruner() {
         // Over a seeded random repository, the union of DeadInterval class
-        // members must equal the PR 1 pruned set exactly.
+        // members must equal the masks the per-spec proof accepts exactly.
         let p = traced_profile();
         let mut g = MaskGenerator::new(99);
         let masks = g.transient(&desc(), 1_000, 300);
@@ -897,8 +879,10 @@ mod tests {
             .flat_map(|c| c.members.iter().copied())
             .collect();
         dead.sort_unstable();
-        let (pruned, _) = partition_provably_masked(&masks, &p);
-        assert_eq!(dead, pruned);
+        let proven: Vec<usize> = (0..masks.len())
+            .filter(|&i| spec_provably_masked(&masks[i], &p))
+            .collect();
+        assert_eq!(dead, proven);
         // Every mask lands in exactly one class.
         let mut all: Vec<usize> = part
             .classes

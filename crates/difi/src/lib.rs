@@ -71,16 +71,13 @@ pub mod setups {
 /// One-stop imports for examples and tools.
 pub mod prelude {
     pub use crate::setups;
-    pub use difi_ace::{AceProfile, ArchRegAvf, Liveness, RegSet, SiteClass, StaticAvf};
+    pub use difi_ace::{AceProfile, SiteClass, StaticAvf};
     pub use difi_core::campaign::{golden_run, CampaignConfig, CampaignRunner, Strategy};
     pub use difi_core::classify::{Classifier, FineOutcome, Outcome};
     pub use difi_core::dispatch::GoldenSnapshot;
     pub use difi_core::journal::{load_journal, CampaignHeader, JournalContents};
     pub use difi_core::logs::{CampaignLog, RunLog};
-    pub use difi_core::masks::{
-        partition_equivalence, partition_provably_masked, spec_provably_masked, MaskClass,
-        MaskGenerator, MaskPartition,
-    };
+    pub use difi_core::masks::{partition_equivalence, MaskClass, MaskGenerator, MaskPartition};
     pub use difi_core::model::{
         ClassProvenance, EarlyStop, FaultDuration, FaultKindSer, FaultRecord, InjectTime,
         InjectionSpec, ProofKind, RawRunResult, RunLimits, RunStatus, ScenarioKind,

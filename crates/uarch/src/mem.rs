@@ -489,18 +489,6 @@ impl MemSystem {
         self.stats.bypasses += 1;
         self.mem.write(addr, bytes);
     }
-
-    /// True when every armed cache fault is provably dead.
-    pub fn all_cache_faults_dead(&self) -> bool {
-        self.l1i.all_faults_dead() && self.l1d.all_faults_dead() && self.l2.all_faults_dead()
-    }
-
-    /// True when any armed cache fault has been consumed.
-    pub fn any_cache_fault_consumed(&self) -> bool {
-        self.l1i.any_fault_consumed()
-            || self.l1d.any_fault_consumed()
-            || self.l2.any_fault_consumed()
-    }
 }
 
 #[cfg(test)]

@@ -181,15 +181,22 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so an unbounded depth lets one hostile line overflow the
+/// stack; every document this workspace writes nests far shallower.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Parse`] on malformed input or trailing garbage.
+/// Returns [`Error::Parse`] on malformed input, trailing garbage, or
+/// arrays/objects nested more than 128 levels deep.
 pub fn parse(input: &str) -> Result<Json> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -206,6 +213,8 @@ pub fn parse(input: &str) -> Result<Json> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -250,11 +259,25 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(Error::Parse(format!("unexpected input at {}", self.pos))),
         }
+    }
+
+    /// Parses one array or object with `f`, one nesting level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json>) -> Result<Json> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::Parse(format!(
+                "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json> {
@@ -417,6 +440,19 @@ mod tests {
             let s = v.to_string();
             assert_eq!(parse(&s).unwrap(), v, "roundtrip of {s}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        let at_limit = format!("{}{}", "[".repeat(128), "]".repeat(128));
+        assert!(parse(&at_limit).is_ok());
+        let over = format!("{{\"a\":{at_limit}}}");
+        let err = parse(&over).expect_err("one level over the limit");
+        assert!(
+            err.to_string().contains("128 levels at offset 132"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -14,9 +14,10 @@ echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> dependency freeze (std-only workspace)"
-# The workspace is std-only by design; fail if any Cargo.toml gains an
-# external dependency. Intra-workspace `path` and `workspace = true` deps
-# are the only accepted forms.
+# The workspace is std-only by design; fail if any Cargo.toml (the
+# benchmark package's included) gains an external dependency.
+# Intra-workspace `path` and `workspace = true` deps are the only accepted
+# forms.
 python3 - <<'PY'
 import glob, re, sys
 
@@ -32,7 +33,7 @@ def dep_section(header):
 
 OK_SPEC = re.compile(r'\bpath\b|workspace\s*=\s*true')
 violations = []
-for toml in ["Cargo.toml"] + sorted(glob.glob("crates/*/Cargo.toml")):
+for toml in ["Cargo.toml"] + sorted(glob.glob("crates/*/Cargo.toml")) + ["cellbench/Cargo.toml"]:
     mode = None        # None | "list" | "table"
     table = None       # (location, header, body_ok) for table mode
     def flush():
@@ -67,7 +68,7 @@ PY
 
 echo "==> no ignored tier-1 tests"
 # An #[ignore] on a tier-1 test silently shrinks the gate; fail loudly instead.
-if grep -rn '#\[ignore' tests/ crates/ --include='*.rs'; then
+if grep -rn '#\[ignore' tests/ crates/ cellbench/src --include='*.rs'; then
     echo "error: #[ignore]d tests found — tier-1 tests must all run" >&2
     exit 1
 fi
@@ -159,6 +160,12 @@ run_campaign_bin --resume "$smoke_dir/smoke.journal" \
 if ! diff <(grep -A99 '^classification' "$smoke_dir/journaled.out" | sed 's/([^)]*)//') \
           <(grep -A99 '^classification' "$smoke_dir/resumed.out" | sed 's/([^)]*)//'); then
     echo "error: resumed campaign classification differs from journaled run" >&2
+    exit 1
+fi
+# A misspelled flag must fail loudly, not run a plain campaign.
+if run_campaign_bin --colapse >"$smoke_dir/unknown.out" 2>&1 \
+    || ! grep -q -- '--colapse' "$smoke_dir/unknown.out"; then
+    echo "error: campaign did not reject the unknown argument --colapse" >&2
     exit 1
 fi
 

@@ -1,11 +1,13 @@
 //! ACE-pruning soundness and savings: the static analysis may only remove
-//! simulated work, never change a verdict.
+//! simulated work, never change a verdict. Pruning is the `DeadInterval`
+//! classes of a collapsed campaign: masks the residency profile proves
+//! masked, logged without dispatch.
 //!
-//! (a) Soundness spot-check: every mask the pruner classifies Masked is
-//!     re-run as a *real* injection (early stops disabled) and must come
-//!     back Masked, on two workloads × both simulator backends.
-//! (b) Savings: a pruned campaign dispatches measurably fewer runs than the
-//!     unpruned campaign over the same masks while producing identical
+//! (a) Soundness spot-check: every dead-class member is re-run as a *real*
+//!     injection (early stops disabled) and must come back Masked, on two
+//!     workloads × both simulator backends.
+//! (b) Savings: a collapsed campaign dispatches measurably fewer runs than
+//!     the full campaign over the same masks while producing identical
 //!     per-class totals.
 
 use difi::prelude::*;
@@ -19,13 +21,16 @@ fn profile_for(dispatcher: &dyn InjectorDispatcher, program: &Program) -> AcePro
     AceProfile::new(log).expect("int_prf is a data plane")
 }
 
-/// A campaign run under [`Strategy::Pruned`], with the split its pruner
-/// made.
+/// A campaign run under [`Strategy::Collapsed`], with the split its
+/// partition made.
 struct Pruned {
     log: CampaignLog,
-    /// Spec ids classified Masked before dispatch.
+    /// The partition the campaign collapsed by.
+    partition: MaskPartition,
+    /// Spec ids of the dead-class members, classified Masked before
+    /// dispatch.
     pruned_ids: Vec<u64>,
-    /// Masks dispatched to the simulator.
+    /// Runs the simulator actually executed, counted from the log.
     dispatched: usize,
 }
 
@@ -41,13 +46,24 @@ fn pruned_campaign(
     let masks = MaskGenerator::new(seed).transient(&desc, golden.cycles_measured(), n);
     let profile = profile_for(dispatcher, &program);
     let log = CampaignRunner::new(dispatcher, &program, STRUCTURE, seed, &cfg())
-        .with_strategy(Strategy::Pruned { profile: &profile })
+        .with_strategy(Strategy::Collapsed {
+            profile: &profile,
+            checkpoints: 0,
+        })
         .run(&masks);
-    let (pruned, dispatch) = partition_provably_masked(&masks, &profile);
+    let partition = partition_equivalence(&masks, &profile);
+    let pruned_ids = partition
+        .classes
+        .iter()
+        .filter(|c| c.proof == ProofKind::DeadInterval)
+        .flat_map(|c| c.members.iter().map(|&i| masks[i].id))
+        .collect();
+    let dispatched = log.runs.iter().filter(|r| r.result.is_measured()).count();
     let pruned = Pruned {
         log,
-        pruned_ids: pruned.iter().map(|&i| masks[i].id).collect(),
-        dispatched: dispatch.len(),
+        partition,
+        pruned_ids,
+        dispatched,
     };
     (pruned, masks, program)
 }
@@ -62,8 +78,9 @@ fn cfg() -> CampaignConfig {
 
 #[test]
 fn pruned_masks_reclassify_masked_under_real_injection() {
-    // Soundness: two workloads × both backends; every pruned mask, actually
-    // injected with every early stop disabled, must classify Masked.
+    // Soundness: two workloads × both backends; every dead-class member,
+    // actually injected with every early stop disabled, must classify
+    // Masked.
     let mafin = MaFin::new();
     let gefin = GeFin::x86();
     let backends: [&dyn InjectorDispatcher; 2] = [&mafin, &gefin];
@@ -105,6 +122,12 @@ fn pruning_saves_dispatches_with_identical_totals() {
         let (pruned, masks, program) = pruned_campaign(dispatcher, Bench::Fft, 20, 7);
         let baseline = CampaignRunner::new(dispatcher, &program, STRUCTURE, 7, &cfg()).run(&masks);
         // Fewer dispatches, nothing dropped.
+        assert_eq!(
+            pruned.dispatched,
+            pruned.partition.dispatch_count(),
+            "{}: one measured run per dispatched class",
+            dispatcher.name()
+        );
         assert!(
             pruned.dispatched < masks.len(),
             "{}: pruning must save dispatches",
