@@ -14,7 +14,7 @@
 //!
 //! Prints the six-class classification (and the fine breakdown with
 //! `--fine`) and optionally persists the raw logs repository for later
-//! re-parsing.
+//! re-parsing (`--out`, a finished journal that `--resume` accepts).
 //!
 //! `--journal` streams every completed run to an append-only JSONL journal;
 //! a campaign killed mid-flight restarts with `--resume` on the same path
@@ -49,8 +49,11 @@
 //!
 //! An argument that is neither a documented flag nor the value of a value
 //! flag (including a value flag with no value, or whose value starts with
-//! `--`) is an error: `campaign` names it, prints the usage on stderr and
-//! exits with status 2.
+//! `--`) is an error, and so is a value the flag does not accept (an
+//! unknown injector, benchmark, structure, model or scenario, a number
+//! flag with a non-numeric value, `--sweep` with a scenario it does not
+//! support, `--journal` together with `--resume`): `campaign` names it,
+//! prints the usage on stderr and exits with status 2.
 
 use difi::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -86,7 +89,8 @@ OPTIONS:
                         (--injections is ignored; mask count = site space.)
   --sweep-start N       sweep window start cycle         [golden midpoint]
   --sweep-len N         sweep window length, cycles                  [64]
-  --out PATH            save the raw logs repository (JSONL)
+  --out PATH            save the raw logs repository: a finished journal,
+                        so --resume PATH accepts it
   --journal PATH        stream runs to an append-only journal
   --resume PATH         finish an interrupted journal (same parameters)
   --progress            live completion/ETA telemetry on stderr
@@ -140,6 +144,13 @@ const SWITCHES: [&str; 8] = [
     "--help",
 ];
 
+/// Prints `error: <msg>` and the usage on stderr, then exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprint!("{USAGE}");
+    std::process::exit(2);
+}
+
 /// Splits the command line into value-flag values (the first occurrence
 /// wins) and switches, or names the first argument that is neither.
 fn parse_args(args: &[String]) -> Result<(BTreeMap<&str, &str>, BTreeSet<&str>), String> {
@@ -165,42 +176,56 @@ fn parse_args(args: &[String]) -> Result<(BTreeMap<&str, &str>, BTreeSet<&str>),
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (values, switches) = parse_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        eprint!("{USAGE}");
-        std::process::exit(2);
-    });
+    let (values, switches) = parse_args(&args).unwrap_or_else(|e| usage_error(&e));
     let get = |flag: &str| values.get(flag).map(|v| v.to_string());
     let has = |flag: &str| switches.contains(flag);
+    let num = |flag: &str| -> Option<u64> {
+        get(flag).map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| usage_error(&format!("{flag}: '{v}' is not a number")))
+        })
+    };
     if has("--help") || has("-h") {
         print!("{USAGE}");
         return;
     }
+    if get("--journal").is_some() && get("--resume").is_some() {
+        usage_error("--resume: cannot be combined with --journal");
+    }
 
     let injector = get("--injector").unwrap_or_else(|| "MaFIN-x86".into());
-    let bench = Bench::from_name(&get("--bench").unwrap_or_else(|| "sha".into()))
-        .expect("unknown benchmark");
-    let structure =
-        StructureId::from_name(&get("--structure").unwrap_or_else(|| "l1d_data".into()))
-            .expect("unknown structure");
-    let injections: u64 = get("--injections").map_or(200, |s| s.parse().expect("number"));
-    let seed: u64 = get("--seed").map_or(2015, |s| s.parse().expect("number"));
+    let bench_name = get("--bench").unwrap_or_else(|| "sha".into());
+    let bench = Bench::from_name(&bench_name)
+        .unwrap_or_else(|| usage_error(&format!("--bench: unknown benchmark '{bench_name}'")));
+    let structure_name = get("--structure").unwrap_or_else(|| "l1d_data".into());
+    let structure = StructureId::from_name(&structure_name).unwrap_or_else(|| {
+        usage_error(&format!(
+            "--structure: unknown structure '{structure_name}'"
+        ))
+    });
+    let injections = num("--injections").unwrap_or(200);
+    let seed = num("--seed").unwrap_or(2015);
     let model = get("--model").unwrap_or_else(|| "transient".into());
-    let window: u64 = get("--window").map_or(2000, |s| s.parse().expect("number"));
+    let window = num("--window").unwrap_or(2000);
     let scenario = get("--scenario").unwrap_or_else(|| "bit-flips".into());
     let sweep = has("--sweep");
+    let sweep_start = num("--sweep-start");
+    let sweep_len = num("--sweep-len").unwrap_or(64);
+    let checkpoints = num("--checkpoints").unwrap_or(0) as usize;
 
-    let dispatcher: Box<dyn InjectorDispatcher + Send> = match injector.as_str() {
-        "MaFIN-x86" => Box::new(MaFin::new()),
-        "GeFIN-x86" => Box::new(GeFin::x86()),
-        "GeFIN-ARM" => Box::new(GeFin::arm()),
-        other => panic!("unknown injector {other} (MaFIN-x86 | GeFIN-x86 | GeFIN-ARM)"),
-    };
+    let dispatcher = setups::all()
+        .into_iter()
+        .find(|d| d.name() == injector)
+        .unwrap_or_else(|| usage_error(&format!("--injector: unknown injector '{injector}'")));
 
     let program = build(bench, dispatcher.isa()).expect("benchmark assembles");
     let golden = golden_run(dispatcher.as_ref(), &program, 200_000_000);
-    let desc = difi::core::dispatch::structure_desc(dispatcher.as_ref(), structure)
-        .expect("structure not injectable on this configuration");
+    let desc =
+        difi::core::dispatch::structure_desc(dispatcher.as_ref(), structure).unwrap_or_else(|| {
+            usage_error(&format!(
+                "--structure: {structure_name} is not injectable on {injector}"
+            ))
+        });
 
     println!(
         "campaign: {} / {} / {} — {} {} faults (seed {seed}, scenario {scenario}{})",
@@ -218,14 +243,15 @@ fn main() {
     );
 
     let cycles = golden.cycles_measured();
-    let sweep_start: u64 = get("--sweep-start").map_or(cycles / 2, |s| s.parse().expect("number"));
-    let sweep_len: u64 = get("--sweep-len").map_or(64, |s| s.parse().expect("number"));
+    let sweep_start = sweep_start.unwrap_or(cycles / 2);
     let mut gen = MaskGenerator::new(seed);
     let masks = if sweep {
         let ms = match scenario.as_str() {
             "branch-invert" => gen.branch_invert_sweep(sweep_start, sweep_len),
             "bit-flips" => gen.exhaustive_sweep(&desc, sweep_start, sweep_len),
-            other => panic!("--sweep supports bit-flips or branch-invert, not {other}"),
+            other => usage_error(&format!(
+                "--sweep: supports --scenario bit-flips or branch-invert, not '{other}'"
+            )),
         };
         println!(
             "sweep: window [{}, {}) — {} masks",
@@ -240,14 +266,14 @@ fn main() {
                 "transient" => gen.transient(&desc, cycles, injections),
                 "intermittent" => gen.intermittent(&desc, cycles, window, injections),
                 "permanent" => gen.permanent(&desc, injections),
-                other => panic!("unknown model {other}"),
+                other => usage_error(&format!("--model: unknown model '{other}'")),
             },
             "multi-bit" => gen.correlated_adjacent_bits(&desc, cycles, 3, injections),
             "instruction-skip" => gen.instruction_skip(cycles, 1, injections),
             "opcode-corrupt" => gen.opcode_corrupt(cycles, injections),
             "branch-invert" => gen.branch_invert(cycles, injections),
             "mixed" => gen.mixed_scenarios(&desc, cycles, injections),
-            other => panic!("unknown scenario {other}"),
+            other => usage_error(&format!("--scenario: unknown scenario '{other}'")),
         }
     };
 
@@ -256,7 +282,6 @@ fn main() {
         early_stop: !has("--no-early-stop"),
         golden_max_cycles: 200_000_000,
     };
-    let checkpoints: usize = get("--checkpoints").map_or(0, |k| k.parse().expect("number"));
     // The collapse profile must outlive the runner that borrows it.
     let collapse_profile: Option<AceProfile> = has("--collapse")
         .then(|| {
@@ -340,8 +365,7 @@ fn main() {
 
     let t0 = std::time::Instant::now();
     let log = match (get("--journal"), get("--resume")) {
-        (Some(_), Some(_)) => panic!("--journal and --resume are mutually exclusive"),
-        (Some(path), None) => {
+        (Some(path), _) => {
             let p = std::path::PathBuf::from(path);
             if let Some(dir) = p.parent() {
                 std::fs::create_dir_all(dir).expect("create journal dir");
@@ -442,17 +466,18 @@ fn main() {
     }
 
     if let Some(profile) = &collapse_profile {
-        // Re-derive the (deterministic) partition for the summary table.
+        // Re-derive the (deterministic) partition for the summary line.
         let part = partition_equivalence(&masks, profile);
-        let mut rep = CollapseReport::new();
-        rep.push(structure.name(), &part);
-        println!("\n{}", rep.render());
         println!(
-            "collapse: {} masks -> {} classes ({:.2}x), {} simulator dispatches",
+            "\ncollapse: {} masks -> {} classes ({:.2}x), {} simulator dispatches \
+             ({} dead, {} latch, {} singleton classes)",
             part.mask_count(),
             part.class_count(),
             part.collapse_ratio(),
-            part.dispatch_count()
+            part.dispatch_count(),
+            part.classes_with(ProofKind::DeadInterval),
+            part.classes_with(ProofKind::LatchInterval),
+            part.classes_with(ProofKind::Singleton)
         );
     }
 

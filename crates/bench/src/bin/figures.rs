@@ -1,33 +1,41 @@
-//! Regenerates every table and figure of the paper.
-//!
-//! ```text
-//! figures <command> [--injections N] [--seed S] [--benches a,b,…] [--out DIR]
-//!
-//! commands:
-//!   fig2 fig3 fig4 fig5 fig6   one characterization figure
-//!   figs                       all five figures (Figs. 2–6)
-//!   table2 table3 table4       the configuration/fault-model/structure tables
-//!   sampling                   §IV.A statistical sampling numbers
-//!   remarks                    runtime statistics behind Remarks 1–11
-//!   speedup                    §III.B.2 early-stop optimization (30–70%)
-//!   overhead                   §III.C MARSS data-array extension cost (≈40%)
-//!   all                        everything above
-//! ```
+//! Regenerates every table and figure of the paper (see `USAGE`).
 //!
 //! The paper's campaigns use 2000 injections per cell; `--injections`
 //! defaults to a laptop-scale 100 (the printed Wilson intervals make the
-//! wider error margins explicit).
+//! wider error margins explicit). A malformed command line prints
+//! `error: …` and the usage on stderr and exits with status 2.
 
 use difi::prelude::*;
 use difi::uarch::pipeline::engine::EngineLimits;
 use difi::uarch::pipeline::OoOCore;
 use std::time::Instant;
 
+const USAGE: &str = "\
+figures <command> [--injections N] [--seed S] [--benches a,b,…] [--out DIR]
+
+commands:
+  fig2 fig3 fig4 fig5 fig6   one characterization figure
+  figs                       all five figures (Figs. 2–6)
+  table2 table3 table4       the configuration/fault-model/structure tables
+  sampling                   §IV.A statistical sampling numbers
+  remarks                    runtime statistics behind Remarks 1–11
+  speedup                    §III.B.2 early-stop optimization (30–70%)
+  overhead                   §III.C MARSS data-array extension cost (≈40%)
+  all                        everything above
+";
+
 struct Opts {
     injections: u64,
     seed: u64,
     benches: Vec<Bench>,
     out: Option<std::path::PathBuf>,
+}
+
+/// Prints `error: <msg>` and the usage on stderr, then exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprint!("{USAGE}");
+    std::process::exit(2);
 }
 
 fn parse_opts(args: &[String]) -> Opts {
@@ -37,29 +45,32 @@ fn parse_opts(args: &[String]) -> Opts {
         benches: Bench::ALL.to_vec(),
         out: None,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--injections" => {
-                o.injections = args[i + 1].parse().expect("--injections N");
-                i += 2;
-            }
-            "--seed" => {
-                o.seed = args[i + 1].parse().expect("--seed S");
-                i += 2;
-            }
+    let number = |flag: &str, v: &str| -> u64 {
+        v.parse()
+            .unwrap_or_else(|_| usage_error(&format!("{flag}: '{v}' is not a number")))
+    };
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        if !["--injections", "--seed", "--benches", "--out"].contains(&flag.as_str()) {
+            usage_error(&format!("{flag}: unknown option"));
+        }
+        let value = it
+            .next()
+            .unwrap_or_else(|| usage_error(&format!("{flag}: missing value")));
+        match flag.as_str() {
+            "--injections" => o.injections = number(flag, value),
+            "--seed" => o.seed = number(flag, value),
             "--benches" => {
-                o.benches = args[i + 1]
+                o.benches = value
                     .split(',')
-                    .map(|s| Bench::from_name(s).unwrap_or_else(|| panic!("unknown bench {s}")))
+                    .map(|s| {
+                        Bench::from_name(s).unwrap_or_else(|| {
+                            usage_error(&format!("--benches: unknown benchmark '{s}'"))
+                        })
+                    })
                     .collect();
-                i += 2;
             }
-            "--out" => {
-                o.out = Some(args[i + 1].clone().into());
-                i += 2;
-            }
-            other => panic!("unknown option {other}"),
+            _ => o.out = Some(value.into()),
         }
     }
     o
@@ -119,10 +130,7 @@ fn main() {
             speedup(&opts);
             overhead(&opts);
         }
-        other => {
-            eprintln!("unknown command {other}");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown command {other}")),
     }
 }
 

@@ -22,9 +22,9 @@
 //!   run stamped with auditable [`ClassProvenance`].
 //! * **[`RunSink`]s** — *where* completed runs stream: workers push each
 //!   [`RunLog`] to every sink the moment it finishes, so campaigns persist
-//!   incrementally ([`crate::sink::JournalSink`]), report progress live
-//!   ([`crate::sink::ProgressSink`]), and collect in memory
-//!   ([`crate::sink::MemorySink`]) for the final [`CampaignLog`].
+//!   incrementally ([`crate::sink::JournalSink`]) and report progress live
+//!   ([`crate::sink::ProgressSink`]), while the runner collects them in
+//!   mask order for the final [`CampaignLog`].
 //!
 //! Journaled campaigns are **restartable**: [`CampaignRunner::resume`]
 //! reloads a journal (tolerating the torn tail line a crash leaves), skips
@@ -124,66 +124,9 @@ pub fn golden_run(
     dispatcher.run(program, &spec, &RunLimits::golden(max_cycles))
 }
 
-/// The campaign preamble shared by every strategy: the golden run, the
-/// paper's 3×-golden limits, and the resolved worker count. With
-/// `record_signature` the golden run also records the per-commit
-/// architectural signature the tracer's divergence detection compares
-/// against — one run serves both purposes, so tracing never pays for a
-/// second golden execution. With `profile` (and no signature recording) the
-/// golden run instead executes through the profiled dispatcher path,
-/// yielding the stall/occupancy baseline the differential report compares
-/// faulty runs against.
-type CampaignSetup = (
-    RawRunResult,
-    Option<Arc<Vec<u64>>>,
-    Option<ProfileCounters>,
-    RunLimits,
-    usize,
-);
-
-fn campaign_setup(
-    dispatcher: &dyn InjectorDispatcher,
-    program: &Program,
-    cfg: &CampaignConfig,
-    record_signature: bool,
-    profile: bool,
-) -> CampaignSetup {
-    let (golden, golden_sig, golden_prof) = if record_signature {
-        let spec = InjectionSpec::fault_free(u64::MAX);
-        let (g, sig) = dispatcher.golden_run_recording(
-            program,
-            &spec,
-            &RunLimits::golden(cfg.golden_max_cycles),
-        );
-        (g, sig, None)
-    } else if profile {
-        let spec = InjectionSpec::fault_free(u64::MAX);
-        let (g, prof) =
-            dispatcher.run_profiled(program, &spec, &RunLimits::golden(cfg.golden_max_cycles));
-        (g, None, prof)
-    } else {
-        (
-            golden_run(dispatcher, program, cfg.golden_max_cycles),
-            None,
-            None,
-        )
-    };
-    assert!(
-        matches!(golden.status, RunStatus::Completed { .. }),
-        "golden run of {} on {} must complete, got {:?}",
-        program.name,
-        dispatcher.name(),
-        golden.status
-    );
-    let mut limits = RunLimits::campaign(golden.cycles_measured());
-    limits.early_stop = cfg.early_stop;
-    let threads = if cfg.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        cfg.threads
-    };
-    (golden, golden_sig, golden_prof, limits, threads)
-}
+/// The result of the golden step ([`CampaignRunner::golden`]): the golden
+/// run and, when tracing, its recorded per-commit signature.
+type Golden = (RawRunResult, Option<Arc<Vec<u64>>>);
 
 /// Invokes `runner` on one mask, converting a panic into a
 /// [`RunStatus::SimulatorCrash`] result so one malfunctioning run cannot
@@ -338,9 +281,9 @@ impl<'a> CampaignRunner<'a> {
         *self.golden_profile.lock().expect("golden profile lock")
     }
 
-    /// Attaches a metrics registry. The runner prepends an internal
-    /// [`MetricsSink`] over `registry` ahead of user sinks (so later sinks
-    /// read fresh counters), stamps the per-phase wall-clock gauges
+    /// Attaches a metrics registry. The runner folds every run into
+    /// `registry` ahead of user sinks (so later sinks read fresh
+    /// counters), stamps the per-phase wall-clock gauges
     /// (`phase.golden_ns`, `phase.snapshots_ns`, `phase.injection_ns`,
     /// `phase.classify_ns`), and tallies final `campaign.class.*` counters.
     #[must_use]
@@ -366,7 +309,7 @@ impl<'a> CampaignRunner<'a> {
     /// Panics if the golden run does not complete (see
     /// [`CampaignRunner::run`]).
     pub fn run_with_sinks(&self, masks: &[InjectionSpec], sinks: &[&dyn RunSink]) -> CampaignLog {
-        self.execute(masks, Vec::new(), sinks)
+        self.execute(self.golden(), masks, Vec::new(), sinks)
     }
 
     /// Runs the full campaign with an append-only JSONL journal at `path`
@@ -390,7 +333,7 @@ impl<'a> CampaignRunner<'a> {
         let journal = JournalSink::create(path)?;
         let mut all: Vec<&dyn RunSink> = sinks.to_vec();
         all.push(&journal);
-        let log = self.execute(masks, Vec::new(), &all);
+        let log = self.execute(self.golden(), masks, Vec::new(), &all);
         journal.finish()?;
         Ok(log)
     }
@@ -407,12 +350,15 @@ impl<'a> CampaignRunner<'a> {
     /// and masks repository — resuming against the wrong masks is an error,
     /// not a silent divergence; the recomputed golden run must also match
     /// the journaled one (a differing simulator configuration would
-    /// invalidate every reloaded result).
+    /// invalidate every reloaded result). All of this is checked before the
+    /// journal is truncated or appended to, so a rejected journal stays
+    /// byte-identical and only the golden run is dispatched.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Parse`] for mid-journal corruption or a journal
-    /// that does not match this campaign, [`Error::Io`] on file failure.
+    /// that does not match this campaign, [`Error::Config`] when the golden
+    /// run differs, [`Error::Io`] on file failure.
     ///
     /// # Panics
     ///
@@ -425,55 +371,51 @@ impl<'a> CampaignRunner<'a> {
         sinks: &[&dyn RunSink],
     ) -> Result<CampaignLog> {
         let contents = load_journal(path)?;
-        let preloaded = match &contents.header {
-            None => {
-                // Nothing usable (empty file or torn header): start over.
-                truncate_to_valid(path, 0)?;
-                Vec::new()
+        if let Some(h) = &contents.header {
+            self.check_header(h, masks)?;
+        }
+        for (i, log) in &contents.runs {
+            if *i >= masks.len() {
+                return Err(Error::Parse(format!(
+                    "journal records run {i} but the campaign has {} masks",
+                    masks.len()
+                )));
             }
-            Some(h) => {
-                self.check_header(h, masks)?;
-                let mut preloaded: Vec<(usize, RunLog)> = Vec::with_capacity(contents.runs.len());
-                for (i, log) in contents.runs {
-                    if i >= masks.len() {
-                        return Err(Error::Parse(format!(
-                            "journal records run {i} but the campaign has {} masks",
-                            masks.len()
-                        )));
-                    }
-                    if log.spec != masks[i] {
-                        return Err(Error::Parse(format!(
-                            "journal run {i} was produced by a different mask (id {}) than \
-                             the repository's (id {})",
-                            log.spec.id, masks[i].id
-                        )));
-                    }
-                    preloaded.push((i, log));
-                }
-                if contents.dropped_tail.is_some() {
-                    truncate_to_valid(path, contents.valid_len)?;
-                }
-                preloaded
-            }
-        };
-        let expected_golden = contents.header.map(|h| h.golden);
-
-        let journal = JournalSink::append_to(path)?;
-        let mut all: Vec<&dyn RunSink> = sinks.to_vec();
-        all.push(&journal);
-        let log = self.execute(masks, preloaded, &all);
-        journal.finish()?;
-
-        if let Some(g) = expected_golden {
-            if g != log.golden {
-                return Err(Error::Config(format!(
-                    "journal golden run differs from the recomputed one for {}/{} — the \
-                     simulator configuration changed between sessions, so the journaled \
-                     results are not comparable",
-                    log.injector, log.benchmark
+            if log.spec != masks[*i] {
+                return Err(Error::Parse(format!(
+                    "journal run {i} was produced by a different mask (id {}) than the \
+                     repository's (id {})",
+                    log.spec.id, masks[*i].id
                 )));
             }
         }
+        let (golden, signature) = self.golden();
+        if contents.header.as_ref().is_some_and(|h| h.golden != golden) {
+            return Err(Error::Config(format!(
+                "journal golden run differs from the recomputed one for {}/{} — the simulator \
+                 configuration changed between sessions, so the journaled results are not \
+                 comparable",
+                self.dispatcher.name(),
+                self.program.name
+            )));
+        }
+
+        if let Some(reason) = &contents.dropped_tail {
+            eprintln!(
+                "warning: dropping torn tail of {} ({reason}); its run will be re-dispatched",
+                path.display()
+            );
+        }
+        if contents.header.is_none() || contents.dropped_tail.is_some() {
+            // Without a header (empty file or torn header) resume starts over.
+            let keep = contents.header.as_ref().map_or(0, |_| contents.valid_len);
+            truncate_to_valid(path, keep)?;
+        }
+        let journal = JournalSink::append_to(path)?;
+        let mut all: Vec<&dyn RunSink> = sinks.to_vec();
+        all.push(&journal);
+        let log = self.execute((golden, signature), masks, contents.runs, &all);
+        journal.finish()?;
         Ok(log)
     }
 
@@ -507,32 +449,68 @@ impl<'a> CampaignRunner<'a> {
         Ok(())
     }
 
-    /// The single execution core behind every entry point: golden setup,
-    /// strategy preprocessing, the worker pool, and sink delivery.
+    /// The golden step: runs the golden reference, stores its profile (see
+    /// [`CampaignRunner::golden_profile`]) and stamps the `phase.golden_ns`
+    /// gauge. With tracing the golden run also records the per-commit
+    /// architectural signature the tracer's divergence detection compares
+    /// against — one run serves both purposes, so tracing never pays for a
+    /// second golden execution. With profiling (and no tracing) it instead
+    /// executes through the profiled dispatcher path, yielding the
+    /// stall/occupancy baseline the differential report compares faulty
+    /// runs against.
+    fn golden(&self) -> Golden {
+        let phase = Instant::now();
+        let spec = InjectionSpec::fault_free(u64::MAX);
+        let limits = RunLimits::golden(self.cfg.golden_max_cycles);
+        let (golden, signature, profile) = if self.trace {
+            let (g, sig) = self
+                .dispatcher
+                .golden_run_recording(self.program, &spec, &limits);
+            (g, sig, None)
+        } else if self.profile {
+            let (g, prof) = self.dispatcher.run_profiled(self.program, &spec, &limits);
+            (g, None, prof)
+        } else {
+            let g = self.dispatcher.run(self.program, &spec, &limits);
+            (g, None, None)
+        };
+        assert!(
+            matches!(golden.status, RunStatus::Completed { .. }),
+            "golden run of {} on {} must complete, got {:?}",
+            self.program.name,
+            self.dispatcher.name(),
+            golden.status
+        );
+        *self.golden_profile.lock().expect("golden profile lock") = profile;
+        if let Some(m) = &self.metrics {
+            m.gauge("phase.golden_ns")
+                .set(phase.elapsed().as_nanos() as u64);
+        }
+        (golden, signature)
+    }
+
+    /// The single execution core behind every entry point: strategy
+    /// preprocessing after the golden step, the worker pool, and sink
+    /// delivery.
     fn execute(
         &self,
+        (golden, golden_sig): Golden,
         masks: &[InjectionSpec],
         preloaded: Vec<(usize, RunLog)>,
         sinks: &[&dyn RunSink],
     ) -> CampaignLog {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
-        let phase = Instant::now();
         // Tracing and profiling are mutually exclusive per dispatched run;
         // when both are requested, tracing wins (see `with_profiling`).
         let profile_on = self.profile && !self.trace;
-        let (golden, golden_sig, golden_prof, limits, threads) = campaign_setup(
-            self.dispatcher,
-            self.program,
-            &self.cfg,
-            self.trace,
-            profile_on,
-        );
-        *self.golden_profile.lock().expect("golden profile lock") = golden_prof;
-        if let Some(m) = &self.metrics {
-            m.gauge("phase.golden_ns")
-                .set(phase.elapsed().as_nanos() as u64);
-        }
+        let mut limits = RunLimits::campaign(golden.cycles_measured());
+        limits.early_stop = self.cfg.early_stop;
+        let threads = if self.cfg.threads == 0 {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            self.cfg.threads
+        };
         let header = CampaignHeader {
             injector: self.dispatcher.name().to_string(),
             benchmark: self.program.name.clone(),
@@ -559,7 +537,7 @@ impl<'a> CampaignRunner<'a> {
         // sinks observe. Journal-preloaded runs feed the collector only —
         // they are already persisted and were already observed in the
         // session that produced them.
-        let collector = MemorySink::new();
+        let collector = MemorySink::default();
         collector.on_start(&header);
         if let Some(ms) = &metrics_sink {
             ms.on_start(&header);
@@ -1332,6 +1310,16 @@ mod tests {
         let resumed = runner2.resume(&m, &path, &[]).expect("resume");
         assert_eq!(d2.calls.load(Ordering::SeqCst), 1, "golden only");
         assert_eq!(full, resumed);
+        // Runs land by index, whatever the completion order.
+        assert_eq!(CampaignLog::load(&path).expect("load"), full);
+
+        // A saved log is a finished journal, so it resumes the same way.
+        full.save(&path).expect("save");
+        let d3 = FakeDispatcher::new();
+        let runner3 = CampaignRunner::new(&d3, &p, StructureId::IntRegFile, 4, &cfg);
+        let again = runner3.resume(&m, &path, &[]).expect("resume a saved log");
+        assert_eq!(d3.calls.load(Ordering::SeqCst), 1, "golden only");
+        assert_eq!(full, again);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1348,6 +1336,11 @@ mod tests {
         let d = FakeDispatcher::new();
         let runner = CampaignRunner::new(&d, &p, StructureId::IntRegFile, 4, &cfg);
         let full = runner.run_journaled(&m, &path, &[]).expect("journaled run");
+        // Saving the log writes the bytes of this one-thread cold journal.
+        let saved = temp_journal("partial-saved.jsonl");
+        full.save(&saved).expect("save");
+        assert_eq!(std::fs::read(&saved).ok(), std::fs::read(&path).ok());
+        std::fs::remove_file(&saved).ok();
 
         // Keep the header and the first 3 completed runs.
         let text = std::fs::read_to_string(&path).expect("read journal");
@@ -1405,6 +1398,26 @@ mod tests {
             r.resume(&other, &path, &[]).is_err(),
             "mask-content mismatch accepted"
         );
+
+        // A changed golden run (a changed simulator configuration) is caught
+        // before the torn tail is cut or a byte appended, after the golden
+        // run alone.
+        let text = std::fs::read_to_string(&path).expect("read journal");
+        let lines: Vec<&str> = text.lines().collect();
+        let torn = format!(
+            "{}\n{}\n{}\n{}",
+            lines[0].replace("\"cycles\":100", "\"cycles\":99"),
+            lines[1],
+            lines[2],
+            &lines[3][..lines[3].len() / 2]
+        );
+        std::fs::write(&path, &torn).expect("edit journal");
+        let d2 = FakeDispatcher::new();
+        let r = CampaignRunner::new(&d2, &p, StructureId::IntRegFile, 4, &cfg);
+        assert!(matches!(r.resume(&m, &path, &[]), Err(Error::Config(_))));
+        assert_eq!(d2.calls.load(Ordering::SeqCst), 1, "golden only");
+        let after = std::fs::read_to_string(&path).expect("read journal");
+        assert_eq!(after, torn, "a rejected journal stays byte-identical");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1527,6 +1540,8 @@ mod tests {
         );
         let full = runner.run_journaled(&m, &path, &[]).expect("journaled run");
         assert_eq!(d.calls.load(Ordering::SeqCst), 2, "golden + representative");
+        // The journal holds dead classes first; loading places runs by index.
+        assert_eq!(CampaignLog::load(&path).expect("load"), full);
         let back = load_journal(&path).expect("journal loads");
         assert_eq!(back.runs.len(), 9, "members journaled too");
         for (_, log) in &back.runs {

@@ -1,5 +1,5 @@
-//! The append-only campaign journal: crash-tolerant JSONL persistence of a
-//! campaign in flight.
+//! The campaign journal: the one on-disk layout of a campaign, in flight or
+//! finished (a finished journal is the logs repository, [`crate::logs`]).
 //!
 //! A journal is one header line (campaign identity, the golden run, the
 //! mask count) followed by one line per *completed* run, appended and
@@ -10,7 +10,7 @@
 //! skips the reloaded runs and dispatches only the remainder.
 
 use crate::logs::RunLog;
-use crate::model::RawRunResult;
+use crate::model::{ClassProvenance, InjectionSpec, RawRunResult};
 use difi_util::json::Json;
 use difi_util::{jsonl, Error, Result};
 use std::path::Path;
@@ -75,8 +75,8 @@ impl CampaignHeader {
     }
 }
 
-/// Builds the journal line for one completed run: the [`RunLog`] fields
-/// plus the run's index in the masks repository. Collapsed-campaign runs
+/// Builds the journal line for one completed run: its index in the masks
+/// repository plus the [`RunLog`] fields. Collapsed-campaign runs
 /// carry their equivalence-class provenance as a `"collapse"` object, so a
 /// journal is auditable (and resumable) without recomputing the partition.
 pub fn run_line(index: usize, log: &RunLog) -> Json {
@@ -103,7 +103,15 @@ pub fn parse_run_line(j: &Json) -> Result<(usize, RunLog)> {
         .ok_or_else(|| Error::Parse("journal field 'index' is not an integer".into()))?;
     let index = usize::try_from(index)
         .map_err(|_| Error::Parse("journal field 'index' out of range".into()))?;
-    Ok((index, RunLog::from_json(j)?))
+    let log = RunLog {
+        spec: InjectionSpec::from_json(j.req("spec")?)?,
+        result: RawRunResult::from_json(j.req("result")?)?,
+        provenance: j
+            .get("collapse")
+            .map(ClassProvenance::from_json)
+            .transpose()?,
+    };
+    Ok((index, log))
 }
 
 /// A reloaded journal: the valid prefix of a (possibly torn) journal file.
@@ -117,14 +125,17 @@ pub struct JournalContents {
     /// Byte length of the valid prefix; truncating the file to this length
     /// removes the torn tail so appends resume on a clean line boundary.
     pub valid_len: u64,
-    /// Reason the tail line was dropped, if one was.
+    /// Why the tail line was dropped, if one was (resume re-dispatches its
+    /// run; [`CampaignLog::load`](crate::logs::CampaignLog::load) fails).
     pub dropped_tail: Option<String>,
 }
 
-/// Loads a campaign journal, tolerating a torn tail line (dropped with a
-/// warning on stderr — the run it recorded is simply re-dispatched on
-/// resume). Damage anywhere before the tail is a hard error: silent
-/// mid-file data loss must never be papered over.
+/// Loads a campaign journal, the one reader of the on-disk layout. A torn
+/// tail line is dropped and reported in
+/// [`JournalContents::dropped_tail`]; damage anywhere before the tail is a
+/// hard error: silent mid-file data loss must never be papered over. The
+/// runs come back in append order, which is completion order, and are not
+/// checked against the header's mask count.
 ///
 /// # Errors
 ///
@@ -132,14 +143,9 @@ pub struct JournalContents {
 /// corruption.
 pub fn load_journal(path: &Path) -> Result<JournalContents> {
     let loaded = jsonl::load_tolerant(path)?;
-    let dropped_tail = loaded.dropped.as_ref().map(|d| {
-        let reason = format!("journal line {}: {}", d.line_no, d.reason);
-        eprintln!(
-            "warning: dropping torn tail of {} ({reason}); its run will be re-dispatched",
-            path.display()
-        );
-        reason
-    });
+    let dropped_tail = loaded
+        .dropped
+        .map(|d| format!("journal line {}: {}", d.line_no, d.reason));
     let mut lines = loaded.lines.into_iter();
     let header =
         match lines.next() {

@@ -49,7 +49,4 @@ pub use model::{
     ScenarioKind,
 };
 pub use report::{AvfComparison, AvfRow, LatencyReport, ProfileReport};
-pub use sink::{
-    JournalSink, MemoryProfileSink, MemorySink, MemoryTraceSink, MetricsSink, ProgressSink,
-    RunSink, TraceSink,
-};
+pub use sink::{JournalSink, MemoryProfileSink, MemoryTraceSink, ProgressSink, RunSink, TraceSink};

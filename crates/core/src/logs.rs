@@ -5,11 +5,16 @@
 //! files for further processing by the Parser." (§III.B) Keeping raw
 //! results (not classifications) is what makes the parser reconfigurable
 //! without re-running campaigns.
+//!
+//! A saved [`CampaignLog`] is a finished campaign journal
+//! ([`crate::journal`]): the header line, then one run line per mask in mask
+//! order. So a saved log resumes without dispatching anything, and any
+//! finished journal loads as the log its runner returned.
 
+use crate::journal::{load_journal, CampaignHeader};
 use crate::model::{ClassProvenance, InjectionSpec, RawRunResult};
-use difi_util::json::{self, Json};
+use crate::sink::{JournalSink, RunSink};
 use difi_util::{Error, Result};
-use std::io::{BufRead, Write};
 use std::path::Path;
 
 /// One injection run: the mask that was applied and what happened.
@@ -24,37 +29,6 @@ pub struct RunLog {
     /// optional `"collapse"` key, so pre-collapse logs parse unchanged and
     /// non-collapsed logs stay byte-identical to earlier releases.
     pub provenance: Option<ClassProvenance>,
-}
-
-impl RunLog {
-    /// Serializes the run to its JSON object form (one journal/log line).
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("spec", self.spec.to_json()),
-            ("result", self.result.to_json()),
-        ];
-        if let Some(p) = &self.provenance {
-            fields.push(("collapse", p.to_json()));
-        }
-        Json::obj(fields)
-    }
-
-    /// Parses a run from its JSON object form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Parse`] when a field is missing or malformed.
-    pub fn from_json(j: &Json) -> Result<RunLog> {
-        let provenance = match j.get("collapse") {
-            None => None,
-            Some(p) => Some(ClassProvenance::from_json(p)?),
-        };
-        Ok(RunLog {
-            spec: InjectionSpec::from_json(j.req("spec")?)?,
-            result: RawRunResult::from_json(j.req("result")?)?,
-            provenance,
-        })
-    }
 }
 
 /// A complete campaign log for one (injector, benchmark, structure) cell.
@@ -75,75 +49,73 @@ pub struct CampaignLog {
 }
 
 impl CampaignLog {
-    /// Serializes to JSON-lines: a header line followed by one line per run
-    /// (streaming-friendly for hundred-thousand-run campaigns).
+    /// Saves the log as a finished journal: the bytes a one-thread cold
+    /// [`CampaignRunner::run_journaled`](crate::campaign::CampaignRunner::run_journaled)
+    /// producing this log would write (other strategies journal the same
+    /// lines in dispatch order).
     ///
     /// # Errors
     ///
     /// Returns [`Error::Io`] on write failure.
     pub fn save(&self, path: &Path) -> Result<()> {
-        let file = std::fs::File::create(path)?;
-        let mut w = std::io::BufWriter::new(file);
-        let header = Json::obj(vec![
-            ("injector", Json::Str(self.injector.clone())),
-            ("benchmark", Json::Str(self.benchmark.clone())),
-            ("structure", Json::Str(self.structure.clone())),
-            ("seed", Json::U64(self.seed)),
-            ("golden", self.golden.to_json()),
-        ]);
-        writeln!(w, "{header}").map_err(Error::from)?;
-        for run in &self.runs {
-            writeln!(w, "{}", run.to_json()).map_err(Error::from)?;
+        let journal = JournalSink::create(path)?;
+        journal.on_start(&CampaignHeader {
+            injector: self.injector.clone(),
+            benchmark: self.benchmark.clone(),
+            structure: self.structure.clone(),
+            seed: self.seed,
+            golden: self.golden.clone(),
+            masks: self.runs.len() as u64,
+        });
+        for (i, run) in self.runs.iter().enumerate() {
+            journal.on_run(i, run);
         }
-        Ok(())
+        journal.finish()
     }
 
-    /// Loads a campaign log saved by [`CampaignLog::save`].
+    /// Loads a finished journal — a saved log, or the journal of any
+    /// campaign that ran to the end — with its runs in mask order.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Parse`] for malformed content, [`Error::Io`] on read
-    /// failure.
+    /// Returns [`Error::Io`] on read failure and [`Error::Parse`] unless the
+    /// file has a header, no torn tail, and exactly one run line for each
+    /// index below the header's mask count.
     pub fn load(path: &Path) -> Result<CampaignLog> {
-        let file = std::fs::File::open(path)?;
-        let mut lines = std::io::BufReader::new(file).lines();
-        let header_line = lines
-            .next()
-            .ok_or_else(|| Error::Parse("empty campaign log".into()))?
-            .map_err(Error::from)?;
-        let header =
-            json::parse(&header_line).map_err(|e| Error::Parse(format!("bad header: {e}")))?;
-        let golden = RawRunResult::from_json(header.req("golden")?)
-            .map_err(|e| Error::Parse(format!("bad golden: {e}")))?;
-        let get_str = |k: &str| -> Result<String> {
-            header
-                .req(k)?
-                .as_str()
-                .map(String::from)
-                .ok_or_else(|| Error::Parse(format!("header field '{k}' is not a string")))
-        };
-        let seed = header
-            .req("seed")?
-            .as_u64()
-            .ok_or_else(|| Error::Parse("header field 'seed' is not an integer".into()))?;
-        let mut runs = Vec::new();
-        for line in lines {
-            let line = line.map_err(Error::from)?;
-            if line.trim().is_empty() {
-                continue;
+        let contents = load_journal(path)?;
+        let bad = |what: String| Error::Parse(format!("{}: {what}", path.display()));
+        if let Some(reason) = contents.dropped_tail {
+            return Err(bad(format!("torn tail ({reason})")));
+        }
+        let header = contents
+            .header
+            .ok_or_else(|| bad("no journal header".into()))?;
+        let masks = header.masks;
+        let mut runs = contents.runs;
+        runs.sort_by_key(|(i, _)| *i);
+        for (k, &(i, _)) in runs.iter().enumerate() {
+            if i as u64 >= masks {
+                return Err(bad(format!(
+                    "run index {i} is out of range for {masks} masks"
+                )));
             }
-            let run = json::parse(&line)
-                .and_then(|j| RunLog::from_json(&j))
-                .map_err(|e| Error::Parse(format!("bad run line: {e}")))?;
-            runs.push(run);
+            if i < k {
+                return Err(bad(format!("run index {i} appears more than once")));
+            }
+            if i > k {
+                return Err(bad(format!("run index {k} is missing")));
+            }
+        }
+        if (runs.len() as u64) < masks {
+            return Err(bad(format!("run index {} is missing", runs.len())));
         }
         Ok(CampaignLog {
-            injector: get_str("injector")?,
-            benchmark: get_str("benchmark")?,
-            structure: get_str("structure")?,
-            seed,
-            golden,
-            runs,
+            injector: header.injector,
+            benchmark: header.benchmark,
+            structure: header.structure,
+            seed: header.seed,
+            golden: header.golden,
+            runs: runs.into_iter().map(|(_, run)| run).collect(),
         })
     }
 }
@@ -298,6 +270,38 @@ mod tests {
         let path = dir.join("garbage.jsonl");
         std::fs::write(&path, "not json\n").unwrap();
         assert!(CampaignLog::load(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn load_rejects_a_journal_without_exactly_one_run_per_mask() {
+        let dir = std::env::temp_dir().join("difi_logs_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("holes.jsonl");
+        sample_log().save(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let beyond = lines[5].replace("\"index\":4", "\"index\":5");
+        // The layout `save` wrote before it wrote journals.
+        let unsized_header = lines[0].replace("\"masks\":5,", "");
+        let cases = [
+            (lines[..4].to_vec(), "run index 3 is missing"),
+            (
+                vec![lines[0], lines[1], lines[2], lines[2], lines[4], lines[5]],
+                "run index 1 appears more than once",
+            ),
+            (
+                vec![lines[0], lines[1], lines[2], lines[3], lines[4], &beyond],
+                "run index 5 is out of range for 5 masks",
+            ),
+            (vec![&unsized_header], "missing field 'masks'"),
+        ];
+        for (kept, want) in cases {
+            std::fs::write(&path, kept.join("\n")).unwrap();
+            let err = CampaignLog::load(&path).unwrap_err().to_string();
+            assert!(err.contains(want), "{err}");
+            assert!(err.contains(path.to_str().unwrap()), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

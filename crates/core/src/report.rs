@@ -481,127 +481,6 @@ impl ProfileReport {
     }
 }
 
-/// One row of the collapse summary: how one campaign cell's mask space
-/// partitioned into equivalence classes.
-#[derive(Debug, Clone)]
-pub struct CollapseRow {
-    /// Target structure name (e.g. `"l2_data"`).
-    pub structure: String,
-    /// Masks in the campaign.
-    pub masks: u64,
-    /// Equivalence classes they collapsed into.
-    pub classes: u64,
-    /// Classes proved dead (never-consumed faults — zero dispatches).
-    pub dead: u64,
-    /// Write-to-first-read latch-interval classes.
-    pub latch: u64,
-    /// Singleton classes (no proof sharper than "run it").
-    pub singleton: u64,
-    /// Simulator boots actually required (one per non-dead class).
-    pub dispatched: u64,
-}
-
-impl CollapseRow {
-    /// Builds a row from a partition.
-    pub fn from_partition(structure: &str, p: &crate::masks::MaskPartition) -> CollapseRow {
-        use crate::model::ProofKind;
-        CollapseRow {
-            structure: structure.to_string(),
-            masks: p.mask_count() as u64,
-            classes: p.class_count() as u64,
-            dead: p.classes_with(ProofKind::DeadInterval) as u64,
-            latch: p.classes_with(ProofKind::LatchInterval) as u64,
-            singleton: p.classes_with(ProofKind::Singleton) as u64,
-            dispatched: p.dispatch_count() as u64,
-        }
-    }
-
-    /// Masks per class (the collapse factor); 1.0 for an empty cell.
-    pub fn ratio(&self) -> f64 {
-        if self.classes == 0 {
-            1.0
-        } else {
-            self.masks as f64 / self.classes as f64
-        }
-    }
-}
-
-/// The collapse summary: per-structure partition statistics of a collapsed
-/// campaign, answering "how much work did static equivalence save?" the way
-/// [`LatencyReport`] answers "how long did faults live?".
-#[derive(Debug, Clone, Default)]
-pub struct CollapseReport {
-    /// Rows in insertion order.
-    pub rows: Vec<CollapseRow>,
-}
-
-impl CollapseReport {
-    /// An empty report.
-    pub fn new() -> CollapseReport {
-        CollapseReport::default()
-    }
-
-    /// Adds one campaign cell's partition.
-    pub fn push(&mut self, structure: &str, p: &crate::masks::MaskPartition) {
-        self.rows.push(CollapseRow::from_partition(structure, p));
-    }
-
-    /// Renders the report as an aligned text table.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        s.push_str("Mask-space equivalence collapse\n");
-        s.push_str(&format!(
-            "{:<10} {:>7} {:>8} {:>6} {:>6} {:>6} {:>10} {:>7}\n",
-            "structure", "masks", "classes", "dead", "latch", "singl", "dispatched", "ratio"
-        ));
-        for r in &self.rows {
-            s.push_str(&format!(
-                "{:<10} {:>7} {:>8} {:>6} {:>6} {:>6} {:>10} {:>6.2}x\n",
-                r.structure,
-                r.masks,
-                r.classes,
-                r.dead,
-                r.latch,
-                r.singleton,
-                r.dispatched,
-                r.ratio(),
-            ));
-        }
-        s
-    }
-
-    /// JSON form: `{"rows":[{"structure":…,"masks":…,"classes":…,"dead":…,
-    /// "latch":…,"singleton":…,"dispatched":…,"ratio_permille":…},…]}`.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![(
-            "rows",
-            Json::Arr(
-                self.rows
-                    .iter()
-                    .map(|r| {
-                        let permille = r
-                            .masks
-                            .saturating_mul(1000)
-                            .saturating_add(r.classes / 2)
-                            .checked_div(r.classes)
-                            .unwrap_or(1000);
-                        Json::obj(vec![
-                            ("structure", Json::Str(r.structure.clone())),
-                            ("masks", Json::U64(r.masks)),
-                            ("classes", Json::U64(r.classes)),
-                            ("dead", Json::U64(r.dead)),
-                            ("latch", Json::U64(r.latch)),
-                            ("singleton", Json::U64(r.singleton)),
-                            ("dispatched", Json::U64(r.dispatched)),
-                            ("ratio_permille", Json::U64(permille)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )])
-    }
-}
-
 /// One cell of the static-vs-measured AVF comparison: a structure on a
 /// benchmark under one injector backend.
 #[derive(Debug, Clone)]
@@ -879,74 +758,6 @@ mod tests {
         let no_golden = ProfileReport::from_profiles(None, faulty.iter());
         assert!(no_golden.render().contains('-'));
         assert_eq!(no_golden.to_json().get("golden"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn collapse_report_renders_and_serializes() {
-        use crate::masks::{MaskClass, MaskPartition};
-        use crate::model::ProofKind;
-        let part = MaskPartition {
-            classes: vec![
-                MaskClass {
-                    id: 0,
-                    proof: ProofKind::LatchInterval,
-                    members: vec![0, 1, 2],
-                },
-                MaskClass {
-                    id: 1,
-                    proof: ProofKind::DeadInterval,
-                    members: vec![3, 4],
-                },
-                MaskClass {
-                    id: 2,
-                    proof: ProofKind::Singleton,
-                    members: vec![5],
-                },
-            ],
-        };
-        let mut rep = CollapseReport::new();
-        rep.push("l2_data", &part);
-        assert_eq!(rep.rows.len(), 1);
-        let r = &rep.rows[0];
-        assert_eq!(
-            (
-                r.masks,
-                r.classes,
-                r.dead,
-                r.latch,
-                r.singleton,
-                r.dispatched
-            ),
-            (6, 3, 1, 1, 1, 2)
-        );
-        assert!((r.ratio() - 2.0).abs() < 1e-12);
-        let text = rep.render();
-        assert!(text.contains("l2_data"));
-        assert!(text.contains("2.00x"));
-        let j = rep.to_json();
-        let back = difi_util::json::parse(&j.to_string()).expect("reparses");
-        assert_eq!(back, j);
-        match j.get("rows") {
-            Some(Json::Arr(rows)) => {
-                assert_eq!(
-                    rows[0].get("ratio_permille").and_then(Json::as_u64),
-                    Some(2000)
-                );
-                assert_eq!(rows[0].get("dispatched").and_then(Json::as_u64), Some(2));
-            }
-            other => panic!("rows not an array: {other:?}"),
-        }
-        // Empty report degenerates cleanly.
-        let empty = CollapseRow {
-            structure: "iq".into(),
-            masks: 0,
-            classes: 0,
-            dead: 0,
-            latch: 0,
-            singleton: 0,
-            dispatched: 0,
-        };
-        assert!((empty.ratio() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! surfaced them when the whole campaign finished. The streaming engine
 //! inverts that: the [`CampaignRunner`](crate::campaign::CampaignRunner)
 //! pushes each [`RunLog`] to every attached [`RunSink`] the moment its
-//! worker finishes it, so results persist incrementally ([`JournalSink`]),
-//! report progress live ([`ProgressSink`]), and still collect in memory for
-//! the final [`CampaignLog`](crate::logs::CampaignLog) ([`MemorySink`]).
+//! worker finishes it, so results persist incrementally ([`JournalSink`],
+//! [`TraceSink`]) and report progress live ([`ProgressSink`]), while the
+//! runner itself collects them in mask order for the final
+//! [`CampaignLog`](crate::logs::CampaignLog).
 //!
 //! Sinks are called directly from worker threads; each synchronizes
 //! internally (a single lock per sink — the per-run simulation dwarfs any
@@ -19,7 +20,7 @@ use difi_obs::trace::FaultTrace;
 use difi_uarch::ProfileCounters;
 use difi_util::json::Json;
 use difi_util::{jsonl, Error, Result};
-use std::io::{BufWriter, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -66,23 +67,18 @@ pub trait RunSink: Sync {
 /// The in-memory collector: stores every run in its mask slot, yielding the
 /// ordered run vector of the final campaign log.
 #[derive(Debug, Default)]
-pub struct MemorySink {
+pub(crate) struct MemorySink {
     slots: Mutex<Vec<Option<RunLog>>>,
 }
 
 impl MemorySink {
-    /// An empty collector; [`RunSink::on_start`] sizes it to the campaign.
-    pub fn new() -> MemorySink {
-        MemorySink::default()
-    }
-
     /// Consumes the collector, returning runs in mask order.
     ///
     /// # Panics
     ///
     /// Panics if any mask slot never received a run — the campaign runner
     /// guarantees every index is delivered exactly once.
-    pub fn into_runs(self) -> Vec<RunLog> {
+    pub(crate) fn into_runs(self) -> Vec<RunLog> {
         self.slots
             .into_inner()
             .expect("slots lock")
@@ -106,20 +102,82 @@ impl RunSink for MemorySink {
     }
 }
 
-struct JournalOut {
+/// A JSONL file written one flushed line at a time: the writer behind
+/// [`JournalSink`] and [`TraceSink`]. Sink callbacks cannot return errors,
+/// so the first I/O error is latched and surfaced by `finish`.
+struct LineWriter(Mutex<LineOut>);
+
+struct LineOut {
     w: BufWriter<std::fs::File>,
-    /// True until a header line has been written to (or found in) the file.
-    fresh: bool,
-    /// First I/O error, surfaced by [`JournalSink::finish`].
+    /// True while the file holds no line.
+    empty: bool,
     error: Option<Error>,
+}
+
+impl LineWriter {
+    /// Creates (truncating) `path`, or with `append` opens it for appending;
+    /// a file that does not end on a line boundary gets a newline first so
+    /// the next line starts cleanly.
+    fn open(path: &Path, append: bool) -> Result<LineWriter> {
+        let mut file = if append {
+            std::fs::OpenOptions::new()
+                .read(true)
+                .append(true)
+                .open(path)?
+        } else {
+            std::fs::File::create(path)?
+        };
+        let empty = file.metadata()?.len() == 0;
+        let mut last = [b'\n'];
+        if !empty {
+            file.seek(SeekFrom::End(-1))?;
+            file.read_exact(&mut last)?;
+        }
+        let mut w = BufWriter::new(file);
+        if last[0] != b'\n' {
+            w.write_all(b"\n").map_err(Error::from)?;
+        }
+        Ok(LineWriter(Mutex::new(LineOut {
+            w,
+            empty,
+            error: None,
+        })))
+    }
+
+    /// Writes and flushes one line — with `only_if_empty`, only into a file
+    /// that holds no line yet. Flushing per line means a crash tears at most
+    /// the line in flight, which the tolerant loader drops.
+    fn write(&self, line: &Json, only_if_empty: bool) {
+        let mut out = self.0.lock().expect("line writer lock");
+        if only_if_empty && !out.empty {
+            return;
+        }
+        out.empty = false;
+        let r =
+            jsonl::write_line(&mut out.w, line).and_then(|()| out.w.flush().map_err(Error::from));
+        if let Err(e) = r {
+            out.error.get_or_insert(e);
+        }
+    }
+
+    fn flush(&self) {
+        let mut out = self.0.lock().expect("line writer lock");
+        if let Err(e) = out.w.flush() {
+            out.error.get_or_insert(Error::from(e));
+        }
+    }
+
+    fn finish(&self) -> Result<()> {
+        let mut out = self.0.lock().expect("line writer lock");
+        out.w.flush().map_err(Error::from)?;
+        out.error.take().map_or(Ok(()), Err)
+    }
 }
 
 /// The append-only JSONL journal sink: one flushed line per completed run,
 /// enabling crash-resume
 /// ([`CampaignRunner::resume`](crate::campaign::CampaignRunner::resume)).
-pub struct JournalSink {
-    out: Mutex<JournalOut>,
-}
+pub struct JournalSink(LineWriter);
 
 impl JournalSink {
     /// Creates (truncating) a fresh journal at `path`. The header line is
@@ -129,14 +187,7 @@ impl JournalSink {
     ///
     /// Returns [`Error::Io`] when the file cannot be created.
     pub fn create(path: &Path) -> Result<JournalSink> {
-        let file = std::fs::File::create(path)?;
-        Ok(JournalSink {
-            out: Mutex::new(JournalOut {
-                w: BufWriter::new(file),
-                fresh: true,
-                error: None,
-            }),
-        })
+        LineWriter::open(path, false).map(JournalSink)
     }
 
     /// Opens an existing journal for appending (resume). If the file does
@@ -147,30 +198,7 @@ impl JournalSink {
     ///
     /// Returns [`Error::Io`] when the file cannot be opened.
     pub fn append_to(path: &Path) -> Result<JournalSink> {
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(path)?;
-        let len = file.metadata()?.len();
-        let mut needs_newline = false;
-        if len > 0 {
-            use std::io::Read;
-            file.seek(SeekFrom::End(-1))?;
-            let mut last = [0u8; 1];
-            file.read_exact(&mut last)?;
-            needs_newline = last[0] != b'\n';
-        }
-        let mut w = BufWriter::new(file);
-        if needs_newline {
-            w.write_all(b"\n").map_err(Error::from)?;
-        }
-        Ok(JournalSink {
-            out: Mutex::new(JournalOut {
-                w,
-                fresh: len == 0,
-                error: None,
-            }),
-        })
+        LineWriter::open(path, true).map(JournalSink)
     }
 
     /// Flushes and surfaces the first I/O error encountered by any
@@ -181,47 +209,22 @@ impl JournalSink {
     ///
     /// Returns the first [`Error::Io`] hit while journaling.
     pub fn finish(&self) -> Result<()> {
-        let mut out = self.out.lock().expect("journal lock");
-        if let Err(e) = out.w.flush() {
-            return Err(Error::from(e));
-        }
-        match out.error.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.0.finish()
     }
 }
 
 impl RunSink for JournalSink {
     fn on_start(&self, header: &CampaignHeader) {
-        let mut out = self.out.lock().expect("journal lock");
-        if !out.fresh {
-            return; // resuming: the header is already on disk
-        }
-        out.fresh = false;
-        let r = jsonl::write_line(&mut out.w, &header.to_json())
-            .and_then(|()| out.w.flush().map_err(Error::from));
-        if let Err(e) = r {
-            out.error.get_or_insert(e);
-        }
+        // On resume the header is already on disk.
+        self.0.write(&header.to_json(), true);
     }
 
     fn on_run(&self, index: usize, log: &RunLog) {
-        let mut out = self.out.lock().expect("journal lock");
-        // One line per run, flushed immediately: a crash can tear at most
-        // the line in flight, which the tolerant loader drops on resume.
-        let r = jsonl::write_line(&mut out.w, &run_line(index, log))
-            .and_then(|()| out.w.flush().map_err(Error::from));
-        if let Err(e) = r {
-            out.error.get_or_insert(e);
-        }
+        self.0.write(&run_line(index, log), false);
     }
 
     fn on_end(&self) {
-        let mut out = self.out.lock().expect("journal lock");
-        if let Err(e) = out.w.flush() {
-            out.error.get_or_insert(Error::from(e));
-        }
+        self.0.flush();
     }
 }
 
@@ -229,9 +232,7 @@ impl RunSink for JournalSink {
 /// `{"index":…,"trace":{…}}`. Same error discipline as [`JournalSink`] —
 /// callbacks latch the first I/O error and [`TraceSink::finish`] surfaces
 /// it; nothing is silently dropped.
-pub struct TraceSink {
-    out: Mutex<JournalOut>,
-}
+pub struct TraceSink(LineWriter);
 
 impl TraceSink {
     /// Creates (truncating) a fresh trace file at `path`.
@@ -240,14 +241,7 @@ impl TraceSink {
     ///
     /// Returns [`Error::Io`] when the file cannot be created.
     pub fn create(path: &Path) -> Result<TraceSink> {
-        let file = std::fs::File::create(path)?;
-        Ok(TraceSink {
-            out: Mutex::new(JournalOut {
-                w: BufWriter::new(file),
-                fresh: true,
-                error: None,
-            }),
-        })
+        LineWriter::open(path, false).map(TraceSink)
     }
 
     /// Flushes and surfaces the first I/O error encountered by any
@@ -257,14 +251,7 @@ impl TraceSink {
     ///
     /// Returns the first [`Error::Io`] hit while writing traces.
     pub fn finish(&self) -> Result<()> {
-        let mut out = self.out.lock().expect("trace lock");
-        if let Err(e) = out.w.flush() {
-            return Err(Error::from(e));
-        }
-        match out.error.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.0.finish()
     }
 }
 
@@ -272,23 +259,15 @@ impl RunSink for TraceSink {
     fn on_run(&self, _index: usize, _log: &RunLog) {}
 
     fn on_trace(&self, index: usize, trace: &FaultTrace) {
-        let mut out = self.out.lock().expect("trace lock");
         let line = Json::obj(vec![
             ("index", Json::U64(index as u64)),
             ("trace", trace.to_json()),
         ]);
-        let r =
-            jsonl::write_line(&mut out.w, &line).and_then(|()| out.w.flush().map_err(Error::from));
-        if let Err(e) = r {
-            out.error.get_or_insert(e);
-        }
+        self.0.write(&line, false);
     }
 
     fn on_end(&self) {
-        let mut out = self.out.lock().expect("trace lock");
-        if let Err(e) = out.w.flush() {
-            out.error.get_or_insert(Error::from(e));
-        }
+        self.0.flush();
     }
 }
 
@@ -306,8 +285,9 @@ impl MemoryTraceSink {
     }
 
     /// Consumes the collector, returning `(index, trace)` pairs sorted by
-    /// mask index. Unlike [`MemorySink`] there is no completeness guarantee:
-    /// fault-free masks and preloaded (resumed) runs carry no trace.
+    /// mask index. Unlike the campaign's run log there is no completeness
+    /// guarantee: fault-free masks and preloaded (resumed) runs carry no
+    /// trace.
     pub fn into_traces(self) -> Vec<(usize, FaultTrace)> {
         let mut traces = self.traces.into_inner().expect("traces lock");
         traces.sort_by_key(|(i, _)| *i);
@@ -363,13 +343,13 @@ impl RunSink for MemoryProfileSink {
 /// outcome fault-effect-latency histograms. The campaign runner attaches
 /// one internally (before user sinks) whenever a registry is configured, so
 /// sinks later in the chain (e.g. [`ProgressSink`]) read fresh values.
-pub struct MetricsSink {
+pub(crate) struct MetricsSink {
     registry: Arc<MetricsRegistry>,
 }
 
 impl MetricsSink {
     /// A sink feeding `registry`.
-    pub fn new(registry: Arc<MetricsRegistry>) -> MetricsSink {
+    pub(crate) fn new(registry: Arc<MetricsRegistry>) -> MetricsSink {
         MetricsSink { registry }
     }
 }
@@ -660,7 +640,7 @@ mod tests {
 
     #[test]
     fn memory_sink_collects_in_mask_order() {
-        let sink = MemorySink::new();
+        let sink = MemorySink::default();
         sink.on_start(&header(4));
         // Deliver out of order, as a parallel campaign would.
         for i in [2usize, 0, 3, 1] {
@@ -677,7 +657,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "never completed")]
     fn memory_sink_panics_on_missing_slot() {
-        let sink = MemorySink::new();
+        let sink = MemorySink::default();
         sink.on_start(&header(2));
         sink.on_run(0, &run(0));
         let _ = sink.into_runs();

@@ -83,12 +83,11 @@ pub mod prelude {
         InjectionSpec, ProofKind, RawRunResult, RunLimits, RunStatus, ScenarioKind,
     };
     pub use difi_core::report::{
-        classify_log, classify_log_with, AvfComparison, AvfRow, ClassCounts, CollapseReport,
-        CollapseRow, Figure, FigureRow, LatencyReport, LatencyRow, ProfileReport,
+        classify_log, classify_log_with, AvfComparison, AvfRow, ClassCounts, Figure, FigureRow,
+        LatencyReport, LatencyRow, ProfileReport,
     };
     pub use difi_core::sink::{
-        JournalSink, MemoryProfileSink, MemorySink, MemoryTraceSink, MetricsSink, ProgressSink,
-        RunSink, TraceSink,
+        JournalSink, MemoryProfileSink, MemoryTraceSink, ProgressSink, RunSink, TraceSink,
     };
     pub use difi_core::substrate::{gem_config, mars_config, GeFin, MaFin};
     pub use difi_core::InjectorDispatcher;

@@ -162,12 +162,30 @@ if ! diff <(grep -A99 '^classification' "$smoke_dir/journaled.out" | sed 's/([^)
     echo "error: resumed campaign classification differs from journaled run" >&2
     exit 1
 fi
-# A misspelled flag must fail loudly, not run a plain campaign.
-if run_campaign_bin --colapse >"$smoke_dir/unknown.out" 2>&1 \
-    || ! grep -q -- '--colapse' "$smoke_dir/unknown.out"; then
-    echo "error: campaign did not reject the unknown argument --colapse" >&2
+# An --out file is a finished journal: resuming it must succeed and leave
+# it byte-identical.
+run_campaign_bin --out "$smoke_dir/out.jsonl" >/dev/null
+cp "$smoke_dir/out.jsonl" "$smoke_dir/out.orig.jsonl"
+run_campaign_bin --resume "$smoke_dir/out.jsonl" >/dev/null
+cmp "$smoke_dir/out.jsonl" "$smoke_dir/out.orig.jsonl" || {
+    echo "error: resuming an --out file changed it" >&2
     exit 1
-fi
+}
+# A misspelled flag or a bad value must fail with exit status 2 and name
+# what was wrong, not run a campaign or panic.
+expect_usage_error() { # <needle> <command> [args…]
+    local needle="$1" status=0
+    shift
+    "$@" >"$smoke_dir/usage.out" 2>&1 || status=$?
+    if [ "$status" -ne 2 ] || ! grep -q -- "$needle" "$smoke_dir/usage.out"; then
+        echo "error: '$*' exited $status without naming $needle" >&2
+        exit 1
+    fi
+}
+expect_usage_error --colapse run_campaign_bin --colapse
+expect_usage_error Nope cargo run --release -q -p difi-bench --bin campaign -- --injector Nope
+expect_usage_error --injections cargo run --release -q -p difi-bench --bin figures -- \
+    fig2 --injections
 
 echo "==> campaign binary collapse smoke"
 # End-to-end over the CLI: a collapsed campaign on a data-plane structure

@@ -38,6 +38,10 @@ fn pre_scenario_journal_loads_with_legacy_specs() {
         assert_eq!(run.spec.faults().len(), 1, "fixture is single-transient");
         assert!(!run.spec.is_fault_free());
     }
+    // A finished journal is a saved logs repository.
+    let log = CampaignLog::load(std::path::Path::new(FIXTURE)).expect("fixture loads as a log");
+    let runs: Vec<RunLog> = contents.runs.into_iter().map(|(_, run)| run).collect();
+    assert_eq!(log.runs, runs);
 }
 
 #[test]
