@@ -263,8 +263,8 @@ impl SimDispatcher {
     }
 
     /// The single run path: from a fresh core, or from a clone of `start`
-    /// when it holds a core of this configuration — any other snapshot
-    /// falls back to the always-correct cold start.
+    /// when it holds a core of this configuration booted with this program —
+    /// any other snapshot falls back to the always-correct cold start.
     fn simulate(
         &self,
         start: Option<&GoldenSnapshot>,
@@ -279,7 +279,9 @@ impl SimDispatcher {
             self.name, self.isa
         );
         let mut core = match start.and_then(|s| s.state.downcast_ref::<OoOCore>()) {
-            Some(paused) if *paused.config() == self.cfg => paused.clone(),
+            Some(paused) if *paused.config() == self.cfg && paused.program() == program => {
+                paused.clone()
+            }
             _ => self.boot(program),
         };
         if observe.trace {

@@ -78,19 +78,25 @@ pub enum KernelOutcome {
     Kill(Fault),
 }
 
-/// Installs the kernel state into a fresh memory image. Must be called once
-/// before simulation starts (both the functional emulator and the pipelines
-/// do this through [`crate::program::Program::initial_memory`] + `install`).
+/// The kernel's boot state as `(address, value)` pairs of little-endian
+/// 64-bit words: the magic, the syscall dispatch table, and the exception
+/// and console counters at zero.
+pub fn boot_words(map: &MemoryMap) -> impl Iterator<Item = (u64, u64)> {
+    let base = map.kernel_base;
+    let table =
+        (0..DISPATCH_ENTRIES).map(move |i| (base + DISPATCH_OFF + i * 8, expected_dispatch(i)));
+    let counters = [EXC_COUNT_OFF, CONSOLE_COUNT_OFF, CONSOLE_SUM_OFF].map(|off| (base + off, 0));
+    std::iter::once((base, MAGIC)).chain(table).chain(counters)
+}
+
+/// Installs the kernel's [`boot_words`] into a flat memory image. Must be
+/// called once before simulation starts: the functional emulator does this
+/// to the image [`crate::program::Program::initial_memory`] builds, while the
+/// pipelines write the same words straight into their paged main memory.
 pub fn install(mem: &mut [u8], map: &MemoryMap) {
-    let base = map.kernel_base as usize;
-    mem[base..base + 8].copy_from_slice(&MAGIC.to_le_bytes());
-    for i in 0..DISPATCH_ENTRIES {
-        let off = base + (DISPATCH_OFF + i * 8) as usize;
-        mem[off..off + 8].copy_from_slice(&expected_dispatch(i).to_le_bytes());
-    }
-    for off in [EXC_COUNT_OFF, CONSOLE_COUNT_OFF, CONSOLE_SUM_OFF] {
-        let o = base + off as usize;
-        mem[o..o + 8].copy_from_slice(&0u64.to_le_bytes());
+    for (addr, word) in boot_words(map) {
+        let a = addr as usize;
+        mem[a..a + 8].copy_from_slice(&word.to_le_bytes());
     }
 }
 

@@ -131,9 +131,10 @@ impl Program {
         Ok(())
     }
 
-    /// Builds the initial flat memory for a run: zeroed memory with code and
-    /// data sections copied in. (Kernel state is initialized separately by
-    /// [`crate::kernel::install`].)
+    /// Builds the functional emulator's initial flat memory: zeroed memory
+    /// with code and data sections copied in. (Kernel state is initialized
+    /// separately by [`crate::kernel::install`].) The pipelines load the same
+    /// sections straight into their paged main memory instead.
     pub fn initial_memory(&self) -> Vec<u8> {
         let mut mem = vec![0u8; self.map.size as usize];
         let cb = self.map.code_base as usize;

@@ -1,8 +1,9 @@
 //! Main memory and the two-level cache hierarchy.
 //!
 //! [`MemSystem`] wires L1I, L1D and a unified L2 (Table II geometries) over a
-//! flat main memory, with the two policy switches that reproduce the
-//! fundamental MARSS/gem5 difference the paper's Remark 3 analyses:
+//! paged, copy-on-write main memory ([`MainMemory`]), with the two policy
+//! switches that reproduce the fundamental MARSS/gem5 difference the paper's
+//! Remark 3 analyses:
 //!
 //! * `store_through_to_memory` — MARSS keeps the QEMU hypervisor's memory
 //!   image coherent by propagating committed stores to main memory as well
@@ -17,63 +18,100 @@
 //! microarchitecture is not accessed".
 
 use crate::cache::{Cache, CacheConfig, Writeback, MAX_LINE};
+use std::ops::Range;
+use std::sync::Arc;
 
-/// Flat main memory. The paper injects only into on-core structures, so DRAM
-/// carries no fault planes.
-#[derive(Debug, Clone)]
+/// Bytes per main-memory page.
+const PAGE: usize = 4096;
+
+/// Main memory as 4 KiB copy-on-write pages. The paper injects only into
+/// on-core structures, so DRAM carries no fault planes.
+///
+/// A page that was never written is absent and reads as zeros. A clone
+/// copies only the page table and shares every page with its source; the
+/// first write to a shared page, on either side, gives the writer a private
+/// copy of that one page (`Arc::make_mut`). No write ever lands in a shared
+/// page, so a clone is isolated from its source. This is what makes a
+/// warm-start restore cheap (DESIGN.md §8): a workload writes a handful of
+/// the 4,096 pages of the 16 MiB map.
+#[derive(Clone)]
 pub struct MainMemory {
-    bytes: Vec<u8>,
+    size: u64,
+    pages: Vec<Option<Arc<[u8; PAGE]>>>,
 }
 
 impl MainMemory {
-    /// Allocates zeroed memory of `size` bytes.
+    /// Zeroed memory of `size` bytes. No page exists until it is written.
     pub fn new(size: u64) -> MainMemory {
         MainMemory {
-            bytes: vec![0; size as usize],
+            size,
+            pages: vec![None; (size as usize).div_ceil(PAGE)],
         }
-    }
-
-    /// Builds memory from an existing image.
-    pub fn from_image(image: Vec<u8>) -> MainMemory {
-        MainMemory { bytes: image }
     }
 
     /// Memory size in bytes.
     pub fn size(&self) -> u64 {
-        self.bytes.len() as u64
+        self.size
+    }
+
+    /// True if `addr..addr + len` lies inside memory.
+    fn in_range(&self, addr: u64, len: usize) -> bool {
+        addr < self.size && addr + len as u64 <= self.size
     }
 
     /// Reads `buf.len()` bytes at `addr`. Out-of-range reads return zeros
     /// (an open bus), matching how a memory controller responds to wild
     /// addresses produced by corrupted tags/translations.
     pub fn read(&self, addr: u64, buf: &mut [u8]) {
-        let n = self.bytes.len() as u64;
-        if addr < n && addr + buf.len() as u64 <= n {
-            let a = addr as usize;
-            buf.copy_from_slice(&self.bytes[a..a + buf.len()]);
-        } else {
+        if !self.in_range(addr, buf.len()) {
             buf.fill(0);
+            return;
+        }
+        for (page, off, span) in pieces(addr, buf.len()) {
+            let dst = &mut buf[span];
+            match &self.pages[page] {
+                Some(p) => dst.copy_from_slice(&p[off..off + dst.len()]),
+                None => dst.fill(0),
+            }
         }
     }
 
-    /// Writes bytes at `addr`; out-of-range writes are dropped.
+    /// Writes bytes at `addr`; a write that does not lie wholly inside
+    /// memory is dropped.
     pub fn write(&mut self, addr: u64, bytes: &[u8]) {
-        let n = self.bytes.len() as u64;
-        if addr < n && addr + bytes.len() as u64 <= n {
-            let a = addr as usize;
-            self.bytes[a..a + bytes.len()].copy_from_slice(bytes);
+        if !self.in_range(addr, bytes.len()) {
+            return;
+        }
+        for (page, off, span) in pieces(addr, bytes.len()) {
+            let src = &bytes[span];
+            let p = self.pages[page].get_or_insert_with(|| Arc::new([0; PAGE]));
+            Arc::make_mut(p)[off..off + src.len()].copy_from_slice(src);
         }
     }
+}
 
-    /// Direct slice view (loader/diagnostics).
-    pub fn as_slice(&self) -> &[u8] {
-        &self.bytes
+impl std::fmt::Debug for MainMemory {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MainMemory")
+            .field("size", &self.size)
+            .field("pages_written", &self.pages.iter().flatten().count())
+            .finish()
     }
+}
 
-    /// Direct mutable view (loader only).
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        &mut self.bytes
-    }
+/// Splits the in-range access `addr..addr + len` at page boundaries into
+/// `(page index, offset in page, range of the caller's buffer)` pieces.
+fn pieces(addr: u64, len: usize) -> impl Iterator<Item = (usize, usize, Range<usize>)> {
+    let start = addr as usize;
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let a = start + done;
+            let n = (PAGE - a % PAGE).min(len - done);
+            done += n;
+            (a / PAGE, a % PAGE, done - n..done)
+        })
+    })
 }
 
 /// Access latencies in cycles, added on top of the probing level.
@@ -175,13 +213,13 @@ pub struct MemSystem {
 
 impl MemSystem {
     /// Builds the hierarchy with the paper's Table II cache geometries over
-    /// the given memory image.
-    pub fn new(image: Vec<u8>, policy: MemPolicy) -> MemSystem {
+    /// the given main memory.
+    pub fn new(mem: MainMemory, policy: MemPolicy) -> MemSystem {
         MemSystem {
             l1i: Cache::new(CacheConfig::L1),
             l1d: Cache::new(CacheConfig::L1),
             l2: Cache::new(CacheConfig::L2),
-            mem: MainMemory::from_image(image),
+            mem,
             policy,
             lat: LatencyModel::default(),
             stats: MemSystemStats::default(),
@@ -192,7 +230,7 @@ impl MemSystem {
 
     /// Builds with explicit cache configurations (used by sizing studies).
     pub fn with_configs(
-        image: Vec<u8>,
+        mem: MainMemory,
         policy: MemPolicy,
         l1i: CacheConfig,
         l1d: CacheConfig,
@@ -202,7 +240,7 @@ impl MemSystem {
             l1i: Cache::new(l1i),
             l1d: Cache::new(l1d),
             l2: Cache::new(l2),
-            mem: MainMemory::from_image(image),
+            mem,
             policy,
             lat: LatencyModel::default(),
             stats: MemSystemStats::default(),
@@ -496,11 +534,10 @@ mod tests {
     use super::*;
 
     fn sys(policy: MemPolicy) -> MemSystem {
-        let mut image = vec![0u8; 1 << 20];
-        for (i, b) in image.iter_mut().enumerate() {
-            *b = (i % 251) as u8;
-        }
-        MemSystem::new(image, policy)
+        let image: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
+        let mut mem = MainMemory::new(image.len() as u64);
+        mem.write(0, &image);
+        MemSystem::new(mem, policy)
     }
 
     #[test]
@@ -689,5 +726,89 @@ mod tests {
         let mut b = [9u8; 3];
         m.read(1000, &mut b);
         assert_eq!(b, [0, 0, 0], "open bus reads zeros");
+    }
+
+    fn page(m: &MainMemory, index: usize) -> &Arc<[u8; PAGE]> {
+        m.pages[index].as_ref().expect("page was written")
+    }
+
+    #[test]
+    fn unwritten_pages_read_zeros_and_are_not_created() {
+        let m = MainMemory::new(4 * PAGE as u64);
+        for addr in [0, PAGE as u64 - 4, 3 * PAGE as u64 + 17] {
+            let mut b = [9u8; 8];
+            m.read(addr, &mut b);
+            assert_eq!(b, [0; 8]);
+        }
+        assert!(m.pages.iter().all(Option::is_none), "a read created a page");
+    }
+
+    #[test]
+    fn access_straddling_a_page_boundary_round_trips() {
+        let mut m = MainMemory::new(4 * PAGE as u64);
+        let addr = 2 * PAGE as u64 - 3; // 3 bytes in page 1, 5 in page 2
+        m.write(addr, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        let mut b = [0u8; 8];
+        m.read(addr, &mut b);
+        assert_eq!(b, [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(page(&m, 1)[PAGE - 3..], [1, 2, 3]);
+        assert_eq!(page(&m, 2)[..5], [4, 5, 6, 7, 8]);
+        assert!(m.pages[0].is_none() && m.pages[3].is_none());
+    }
+
+    #[test]
+    fn clone_shares_pages_and_each_write_unshares_only_its_page() {
+        let mut m = MainMemory::new(4 * PAGE as u64);
+        m.write(0, &[1; 8]);
+        m.write(PAGE as u64, &[2; 8]);
+        let mut c = m.clone();
+        assert!(Arc::ptr_eq(page(&m, 0), page(&c, 0)));
+        assert!(Arc::ptr_eq(page(&m, 1), page(&c, 1)));
+
+        // A write on the clone stays private and copies only page 0.
+        c.write(4, &[7; 4]);
+        assert!(!Arc::ptr_eq(page(&m, 0), page(&c, 0)));
+        assert!(Arc::ptr_eq(page(&m, 1), page(&c, 1)));
+        let mut b = [0u8; 8];
+        m.read(0, &mut b);
+        assert_eq!(b, [1; 8], "the clone's write reached its source");
+        c.read(0, &mut b);
+        assert_eq!(b, [1, 1, 1, 1, 7, 7, 7, 7]);
+
+        // So does a write on the source, to the page still shared.
+        m.write(PAGE as u64, &[5; 2]);
+        assert!(!Arc::ptr_eq(page(&m, 1), page(&c, 1)));
+        c.read(PAGE as u64, &mut b);
+        assert_eq!(b, [2; 8], "the source's write reached its clone");
+
+        // A page first written after the clone belongs to the writer alone.
+        c.write(3 * PAGE as u64, &[3; 8]);
+        assert!(m.pages[3].is_none());
+    }
+
+    #[test]
+    fn out_of_range_uses_the_exact_size_not_the_page_rounded_one() {
+        let size = PAGE as u64 + 10; // page 1 holds 10 bytes of memory
+        let mut m = MainMemory::new(size);
+        m.write(size - 4, &[1, 2, 3, 4]);
+        let mut b = [9u8; 4];
+        m.read(size - 4, &mut b);
+        assert_eq!(b, [1, 2, 3, 4], "the last bytes are ordinary memory");
+
+        // An access that straddles `size` is out of range as a whole: the
+        // read returns all zeros, the write is dropped, in-range part too.
+        let mut b = [9u8; 8];
+        m.read(size - 4, &mut b);
+        assert_eq!(b, [0; 8]);
+        m.write(size - 2, &[7; 4]);
+        let mut b = [0u8; 4];
+        m.read(size - 4, &mut b);
+        assert_eq!(b, [1, 2, 3, 4], "a straddling write landed");
+
+        // Past `size` but inside the page: dropped and unreadable.
+        m.write(size, &[7]);
+        m.read(size, &mut b[..1]);
+        assert_eq!(b[0], 0);
+        assert!(page(&m, 1)[10..].iter().all(|&x| x == 0));
     }
 }

@@ -20,7 +20,7 @@ pub mod engine;
 
 use crate::cache::CacheConfig;
 use crate::fault::{StructureDesc, StructureId};
-use crate::mem::{MemPolicy, MemSystem};
+use crate::mem::{MainMemory, MemPolicy, MemSystem};
 use crate::predictor::{Btb, BtbConfig, Ras, Tournament, TournamentConfig};
 use crate::queues::{IssueQueue, LsqDataArray, OrderRing, PayloadLimits, RenamedUop};
 use crate::regfile::{FreeList, PhysRegFile, RenameMap};
@@ -30,6 +30,7 @@ use crate::tlb::{Tlb, TlbConfig};
 use crate::trace::{CoreTrace, TraceReport};
 use difi_isa::program::{Isa, MemoryMap, Program};
 use difi_isa::uop::{Fault, Reg, UopVec, Width};
+use std::sync::Arc;
 
 /// Branch-target-buffer organization (Table II).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -566,6 +567,10 @@ pub(crate) const DECODE_CACHE_SLOTS: usize = 512;
 #[derive(Debug, Clone)]
 pub struct OoOCore {
     pub(crate) cfg: CoreConfig,
+    /// The program this core booted, shared by every clone of it.
+    pub(crate) program: Arc<Program>,
+    /// The program's ISA and memory map, kept inline because fetch and
+    /// every memory access read them.
     pub(crate) isa: Isa,
     pub(crate) map: MemoryMap,
     /// The memory system (public for diagnostics and injection glue).
@@ -650,15 +655,22 @@ impl OoOCore {
     pub fn new(cfg: CoreConfig, program: &Program) -> OoOCore {
         cfg.validate().expect("invalid core configuration");
         program.validate().expect("invalid program");
-        let mut image = program.initial_memory();
-        difi_isa::kernel::install(&mut image, &program.map);
+        // Code, data and the nano-kernel state go straight into pages: only
+        // the few pages they cover exist, the rest of memory reads as zeros.
+        let map = program.map;
+        let mut mem = MainMemory::new(map.size);
+        mem.write(map.code_base, &program.code);
+        mem.write(map.data_base, &program.data);
+        for (addr, word) in difi_isa::kernel::boot_words(&map) {
+            mem.write(addr, &word.to_le_bytes());
+        }
         let mem_policy = MemPolicy {
             store_through_to_memory: cfg.policy.store_through,
             l1d_prefetch: cfg.policy.prefetchers,
             l1i_prefetch: cfg.policy.prefetchers,
             model_data_arrays: cfg.policy.model_cache_data,
         };
-        let sys = MemSystem::with_configs(image, mem_policy, cfg.l1i, cfg.l1d, cfg.l2);
+        let sys = MemSystem::with_configs(mem, mem_policy, cfg.l1i, cfg.l1d, cfg.l2);
         let mut iprf = PhysRegFile::new(cfg.int_prf);
         let fprf = PhysRegFile::new(cfg.fp_prf);
         // Boot register state: arch reg i → phys i; SP initialized.
@@ -671,8 +683,9 @@ impl OoOCore {
             lsq: lsq_n as u16,
         };
         OoOCore {
+            program: Arc::new(program.clone()),
             isa: program.isa,
-            map: program.map,
+            map,
             sys,
             itlb: Tlb::new(TlbConfig::default()),
             dtlb: Tlb::new(TlbConfig::default()),
@@ -728,6 +741,11 @@ impl OoOCore {
     /// The configuration this core was booted with.
     pub fn config(&self) -> &CoreConfig {
         &self.cfg
+    }
+
+    /// The program this core was booted with.
+    pub fn program(&self) -> &Program {
+        &self.program
     }
 
     /// The injectable structures of this configuration (the per-simulator
@@ -939,7 +957,7 @@ impl OoOCore {
     /// committed-instruction count, so a warm-started clone — whose
     /// fault-free prefix already retired inside the snapshot — lines up
     /// with the golden vector exactly as a cold run does.
-    pub fn enable_fault_tracing(&mut self, golden: Option<std::sync::Arc<Vec<u64>>>) {
+    pub fn enable_fault_tracing(&mut self, golden: Option<Arc<Vec<u64>>>) {
         let at = self.stats.committed_instructions as usize;
         self.trace = Some(Box::new(CoreTrace::comparing(golden, at)));
     }

@@ -12,6 +12,7 @@ use difi_uarch::fault::{FaultKind, StructureId};
 use difi_uarch::pipeline::engine::{EngineFault, EngineLimits};
 use difi_uarch::pipeline::{BtbOrg, CoreConfig, CorePolicy, LsqOrg, OoOCore, SimExit};
 use difi_uarch::predictor::TournamentConfig;
+use difi_workloads::{build, Bench};
 
 fn mars_cfg() -> CoreConfig {
     CoreConfig {
@@ -611,4 +612,42 @@ fn ipc_is_sane() {
     assert!(ipc > 0.1 && ipc < 4.0, "ipc {ipc} out of plausible range");
     assert!(run.stats.predictor.lookups > 100);
     assert!(run.stats.l1i.read_hits > run.stats.l1i.read_misses);
+}
+
+/// A clone of a paused core is a snapshot: running the original on must not
+/// change it. Under MaFIN's store-through policy every committed store also
+/// writes main memory, so after the pause the original writes pages that
+/// it still shares with the clone (for fft: the kernel page and two data
+/// pages; fft never touches its stack page, which the whole-memory
+/// comparison covers as well).
+#[test]
+fn paused_clone_is_isolated_from_its_original() {
+    let prog = build(Bench::Fft, Isa::X86e).expect("fft assembles");
+    let cold = OoOCore::new(mars_cfg(), &prog).run(&[], &limits());
+
+    let mut original = OoOCore::new(mars_cfg(), &prog);
+    let paused = original.run_until(&[], &limits(), Some(20_000));
+    assert!(paused.is_none(), "fft ended before the pause");
+    let mut clone = original.clone();
+    let memory = |core: &OoOCore| {
+        let mut bytes = vec![0u8; core.sys.mem.size() as usize];
+        core.sys.mem.read(0, &mut bytes);
+        bytes
+    };
+    let before = memory(&clone);
+
+    assert_eq!(original.run(&[], &limits()), cold);
+    assert!(
+        memory(&original) != before,
+        "the original wrote no memory after the pause"
+    );
+    assert!(
+        memory(&clone) == before,
+        "the original wrote into the clone"
+    );
+    assert_eq!(
+        clone.run(&[], &limits()),
+        cold,
+        "the clone diverged from a cold run"
+    );
 }

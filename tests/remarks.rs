@@ -80,11 +80,16 @@ fn remark3_hypervisor_escape_only_on_mafin() {
 #[test]
 fn remark3_clean_line_masking_differs() {
     use difi::uarch::cache::CacheConfig;
-    use difi::uarch::mem::{MemPolicy, MemSystem};
+    use difi::uarch::mem::{MainMemory, MemPolicy, MemSystem};
     let image: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
+    let memory = || {
+        let mut mem = MainMemory::new(image.len() as u64);
+        mem.write(0, &image);
+        mem
+    };
     // MARSS-like: store-through.
     let mut marss = MemSystem::with_configs(
-        image.clone(),
+        memory(),
         MemPolicy {
             store_through_to_memory: true,
             ..Default::default()
@@ -94,7 +99,7 @@ fn remark3_clean_line_masking_differs() {
         CacheConfig::L2,
     );
     let mut gem5 = MemSystem::with_configs(
-        image,
+        memory(),
         MemPolicy::default(),
         CacheConfig::L1,
         CacheConfig::L1,
@@ -116,9 +121,8 @@ fn remark3_clean_line_masking_differs() {
     // Clean lines: only the write-back hierarchy keeps the fault alive
     // (in store-through mode memory still has the good copy, and clean
     // evictions drop the faulty array contents).
-    let image: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
     let mut marss = MemSystem::new(
-        image,
+        memory(),
         MemPolicy {
             store_through_to_memory: true,
             ..Default::default()

@@ -151,3 +151,28 @@ fn a_snapshot_of_another_configuration_runs_cold() {
         );
     }
 }
+
+#[test]
+fn a_snapshot_of_another_program_runs_cold() {
+    // sha and fft are both x86e programs under one configuration, so MaFIN
+    // can downcast a snapshot of sha to a core; resuming it would continue
+    // sha in place of fft. A warm run of fft must equal fft's cold run.
+    let mafin = MaFin::new();
+    let sha = build(Bench::Sha, Isa::X86e).expect("assembles");
+    let fft = build(Bench::Fft, Isa::X86e).expect("assembles");
+    let golden = golden_run(&mafin, &fft, 200_000_000);
+    let limits = RunLimits {
+        early_stop: false,
+        ..RunLimits::campaign(golden.cycles_measured())
+    };
+    let snaps = mafin
+        .golden_snapshots(&sha, &[20_000], &limits)
+        .expect("snapshots are supported");
+    assert_eq!(snaps.len(), 1, "the checkpoint is inside sha's golden run");
+    let spec = InjectionSpec::single_transient(0, StructureId::IntRegFile, 3, 5, 30_000);
+    assert_eq!(
+        mafin.run_from(&snaps[0], &fft, &spec, &limits),
+        mafin.run(&fft, &spec, &limits),
+        "MaFIN resumed a snapshot of sha for fft"
+    );
+}
