@@ -2,8 +2,10 @@
 //!
 //! The paper's campaigns use 2000 injections per cell; `--injections`
 //! defaults to a laptop-scale 100 (the printed Wilson intervals make the
-//! wider error margins explicit). A malformed command line prints
-//! `error: …` and the usage on stderr and exits with status 2.
+//! wider error margins explicit). Each cell runs the fastest strategy stack
+//! proven to classify every mask as a cold campaign does ([`run_cell`]). A
+//! malformed command line prints `error: …` and the usage on stderr and
+//! exits with status 2.
 
 use difi::prelude::*;
 use difi::uarch::pipeline::engine::EngineLimits;
@@ -148,14 +150,7 @@ fn figure(structure: StructureId, title: &str, opts: &Opts) {
                 .expect("figure structures are injectable");
             let masks = MaskGenerator::new(opts.seed ^ (*bench as u64) << 8 ^ structure as u64)
                 .transient(&desc, golden.cycles_measured(), opts.injections);
-            let log = CampaignRunner::new(
-                dispatcher.as_ref(),
-                &program,
-                structure,
-                opts.seed,
-                &CampaignConfig::default(),
-            )
-            .run(&masks);
+            let log = run_cell(dispatcher.as_ref(), &program, structure, opts.seed, &masks);
             if let Some(dir) = &opts.out {
                 std::fs::create_dir_all(dir).expect("create out dir");
                 let path = dir.join(format!(
@@ -201,6 +196,42 @@ fn figure(structure: StructureId, title: &str, opts: &Opts) {
         opts.injections,
         t0.elapsed()
     );
+}
+
+/// Golden checkpoints of every characterization cell.
+const CHECKPOINTS: usize = 8;
+
+/// One characterization cell: `masks` into `structure` on `dispatcher`.
+/// Equivalence collapsing with warm representatives where the structure has
+/// a golden residency profile (all five figure structures do), warm runs
+/// where it has none. Either way every mask classifies as it would in a
+/// [`Strategy::Cold`] campaign (`tests/collapse_equivalence.rs`,
+/// `tests/warm_start_equivalence.rs`); the log also carries each run's
+/// collapse provenance.
+fn run_cell(
+    dispatcher: &dyn InjectorDispatcher,
+    program: &Program,
+    structure: StructureId,
+    seed: u64,
+    masks: &[InjectionSpec],
+) -> CampaignLog {
+    let cfg = CampaignConfig::default();
+    let profile = dispatcher
+        .golden_residency(program, &[structure], cfg.golden_max_cycles)
+        .pop()
+        .and_then(AceProfile::new);
+    let strategy = match &profile {
+        Some(profile) => Strategy::Collapsed {
+            profile,
+            checkpoints: CHECKPOINTS,
+        },
+        None => Strategy::Checkpointed {
+            checkpoints: CHECKPOINTS,
+        },
+    };
+    CampaignRunner::new(dispatcher, program, structure, seed, &cfg)
+        .with_strategy(strategy)
+        .run(masks)
 }
 
 fn table2() {
@@ -438,5 +469,47 @@ fn overhead(_opts: &Opts) {
             t_full,
             100.0 * (t_full.as_secs_f64() / t_perf.as_secs_f64() - 1.0)
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use difi::core::dispatch::structure_desc;
+
+    #[test]
+    fn figure_cells_classify_every_mask_as_a_cold_campaign() {
+        for dispatcher in [MaFin::new(), GeFin::arm()] {
+            let program = build(Bench::Fft, dispatcher.isa()).expect("assembles");
+            let golden = golden_run(&dispatcher, &program, 200_000_000);
+            for (structure, title) in setups::figure_structures() {
+                let desc = structure_desc(&dispatcher, structure).expect("injectable");
+                let masks = MaskGenerator::new(2015).transient(&desc, golden.cycles_measured(), 20);
+                let cell = run_cell(&dispatcher, &program, structure, 2015, &masks);
+                assert!(
+                    cell.runs.iter().all(|r| r.provenance.is_some()),
+                    "{title} on {} ran without collapsing",
+                    dispatcher.name()
+                );
+                let cold = CampaignRunner::new(
+                    &dispatcher,
+                    &program,
+                    structure,
+                    2015,
+                    &CampaignConfig::default(),
+                )
+                .run(&masks);
+                let verdicts = |log: &CampaignLog| -> Vec<Outcome> {
+                    let c = Classifier::from_golden(&log.golden);
+                    log.runs.iter().map(|r| c.classify(&r.result)).collect()
+                };
+                assert_eq!(
+                    verdicts(&cell),
+                    verdicts(&cold),
+                    "{title} on {}",
+                    dispatcher.name()
+                );
+            }
+        }
     }
 }

@@ -13,8 +13,9 @@
 //!
 //! * **[`Strategy`]** — *how* each mask executes: [`Strategy::Cold`] boots
 //!   a fresh simulator per run; [`Strategy::Checkpointed`] is the
-//!   warm-start engine (golden-run snapshots shared across workers,
-//!   byte-identical to cold by the warm-start equivalence oracle);
+//!   warm-start engine (a pool of golden cores shared across workers, each
+//!   run forked from it at its injection cycle; byte-identical to cold by
+//!   the warm-start equivalence oracle);
 //!   [`Strategy::Collapsed`] partitions the mask space into
 //!   provably-equivalent classes (`difi_ace::equivalence`), logs the
 //!   provably-masked ones without dispatch, simulates one representative
@@ -42,8 +43,7 @@ use crate::journal::{load_journal, truncate_to_valid, CampaignHeader};
 use crate::logs::{CampaignLog, RunLog};
 use crate::masks::{partition_equivalence, MaskPartition};
 use crate::model::{
-    ClassProvenance, EarlyStop, InjectTime, InjectionSpec, ProofKind, RawRunResult, RunLimits,
-    RunStatus,
+    ClassProvenance, EarlyStop, InjectionSpec, ProofKind, RawRunResult, RunLimits, RunStatus,
 };
 use crate::sink::{JournalSink, MemorySink, MetricsSink, RunSink};
 use difi_ace::AceProfile;
@@ -84,13 +84,16 @@ impl Default for CampaignConfig {
 pub enum Strategy<'a> {
     /// Every mask cold-starts a fresh simulator.
     Cold,
-    /// The warm-start engine: the golden run is paused at K interval
-    /// checkpoints ([`InjectorDispatcher::golden_snapshots`]) and each
-    /// injection restores the nearest checkpoint at or before its injection
-    /// cycle, simulating only the remainder. Byte-identical to
+    /// The warm-start engine: the golden run is paused at K evenly spaced
+    /// checkpoints ([`InjectorDispatcher::golden_snapshots`]), which become
+    /// one pool of golden cores. Runs go in injection-cycle order, and each
+    /// forks the golden run at its injection cycle: it advances the latest
+    /// pooled core at or before that cycle, so the golden prefix is
+    /// simulated about once per campaign. Byte-identical to
     /// [`Strategy::Cold`] — the fault-free prefix is deterministic.
     Checkpointed {
-        /// Number of evenly spaced golden-run checkpoints.
+        /// Number of evenly spaced golden-run checkpoints: the golden cores
+        /// held in memory.
         checkpoints: usize,
     },
     /// Fault-equivalence collapsing ([`partition_equivalence`]). Dead
@@ -109,7 +112,7 @@ pub enum Strategy<'a> {
         profile: &'a AceProfile,
         /// Golden-run checkpoints for warm-starting the dispatched
         /// representatives (0 = cold representatives), composing the
-        /// collapse with the PR 2 warm-start engine.
+        /// collapse with the [`Strategy::Checkpointed`] warm-start engine.
         checkpoints: usize,
     },
 }
@@ -171,28 +174,6 @@ fn replicate_result(rep: &RawRunResult) -> RawRunResult {
         instructions: None,
         fault_consumed: rep.fault_consumed,
     }
-}
-
-/// The latest golden cycle a warm start may resume from for `spec`: the
-/// earliest cycle-scheduled fault, or a control-flow scenario's cycle
-/// trigger. `None` forces a cold start — either the mask is fault-free, or
-/// it is scheduled by instruction count, whose firing cycle is unknown
-/// before simulation.
-fn warm_start_cycle(spec: &InjectionSpec) -> Option<u64> {
-    if let Some(at) = spec.scenario.trigger() {
-        return match at {
-            InjectTime::Cycle(c) => Some(c),
-            InjectTime::Instruction(_) => None,
-        };
-    }
-    let mut earliest: Option<u64> = None;
-    for f in spec.faults() {
-        match f.at {
-            InjectTime::Cycle(c) => earliest = Some(earliest.map_or(c, |m| m.min(c))),
-            InjectTime::Instruction(_) => return None,
-        }
-    }
-    earliest
 }
 
 /// The unified campaign execution core.
@@ -699,47 +680,6 @@ impl<'a> CampaignRunner<'a> {
             }
         }
 
-        // Strategy preprocessing: the warm-start engine captures K evenly
-        // spaced checkpoints over the golden run's interior and serves runs
-        // in injection-cycle order so neighbouring runs restore the same
-        // checkpoint.
-        let phase = Instant::now();
-        let snap_checkpoints = match self.strategy {
-            Strategy::Checkpointed { checkpoints } => checkpoints,
-            Strategy::Collapsed { checkpoints, .. } => checkpoints,
-            _ => 0,
-        };
-        let snaps: Vec<GoldenSnapshot> = if snap_checkpoints > 0 {
-            let golden_cycles = golden.cycles_measured();
-            let mut at_cycles: Vec<u64> = (1..=snap_checkpoints as u64)
-                .map(|k| golden_cycles * k / (snap_checkpoints as u64 + 1))
-                .filter(|&c| c > 0)
-                .collect();
-            at_cycles.dedup();
-            if at_cycles.is_empty() {
-                Vec::new()
-            } else if profile_on {
-                // Profiled warm starts need snapshots that carry their
-                // profiled-prefix counters; a dispatcher without them falls
-                // back to cold profiled runs (empty snapshot set) rather
-                // than mixing unprofiled snapshots into profiled resumes,
-                // which would undercount every warm-started run's prefix.
-                self.dispatcher
-                    .golden_snapshots_profiled(self.program, &at_cycles, &limits)
-                    .unwrap_or_default()
-            } else {
-                self.dispatcher
-                    .golden_snapshots(self.program, &at_cycles, &limits)
-                    .unwrap_or_default()
-            }
-        } else {
-            Vec::new()
-        };
-        if let Some(m) = &self.metrics {
-            m.gauge("phase.snapshots_ns")
-                .set(phase.elapsed().as_nanos() as u64);
-        }
-
         // Dispatch units: (mask index, class members to replicate to).
         // Non-collapsed strategies dispatch every remaining mask on its own.
         if partition.is_none() {
@@ -748,15 +688,58 @@ impl<'a> CampaignRunner<'a> {
                 .map(|i| (i, Vec::new()))
                 .collect();
         }
-        let sort_for_warm_start = match self.strategy {
-            Strategy::Checkpointed { .. } => true,
-            Strategy::Collapsed { checkpoints, .. } => checkpoints > 0,
-            _ => false,
+        let checkpoints = match self.strategy {
+            Strategy::Cold => 0,
+            Strategy::Checkpointed { checkpoints } | Strategy::Collapsed { checkpoints, .. } => {
+                checkpoints as u64
+            }
         };
-        if sort_for_warm_start {
-            jobs.sort_by_key(|&(i, _)| warm_start_cycle(&masks[i]).unwrap_or(u64::MAX));
+        // Strategy preprocessing: the warm-start engine serves runs in
+        // injection-cycle order, so each run forks the golden run a little
+        // past where the previous one forked it.
+        if checkpoints > 0 {
+            jobs.sort_by_key(|&(i, _)| masks[i].warm_start_cycle().unwrap_or(u64::MAX));
         }
         let jobs = jobs;
+
+        // Golden checkpoints at golden·k/K for k = 0..K, the first at cycle
+        // 0 so that every cycle-scheduled job can fork, and none past the
+        // last job that will fork: no capture at all when no job can.
+        let phase = Instant::now();
+        let last_fork = jobs
+            .iter()
+            .filter_map(|&(i, _)| masks[i].warm_start_cycle())
+            .max();
+        let snaps: Vec<GoldenSnapshot> = match last_fork {
+            Some(last) if checkpoints > 0 => {
+                let golden_cycles = golden.cycles_measured();
+                let mut at_cycles: Vec<u64> = (0..checkpoints)
+                    .map(|k| golden_cycles * k / checkpoints)
+                    .filter(|&c| c <= last)
+                    .collect();
+                at_cycles.dedup();
+                if profile_on {
+                    // Profiled warm starts need snapshots that carry their
+                    // profiled-prefix counters; a dispatcher without them
+                    // falls back to cold profiled runs (empty snapshot set)
+                    // rather than mixing unprofiled snapshots into profiled
+                    // resumes, which would undercount every warm-started
+                    // run's prefix.
+                    self.dispatcher
+                        .golden_snapshots_profiled(self.program, &at_cycles, &limits)
+                        .unwrap_or_default()
+                } else {
+                    self.dispatcher
+                        .golden_snapshots(self.program, &at_cycles, &limits)
+                        .unwrap_or_default()
+                }
+            }
+            _ => Vec::new(),
+        };
+        if let Some(m) = &self.metrics {
+            m.gauge("phase.snapshots_ns")
+                .set(phase.elapsed().as_nanos() as u64);
+        }
 
         // One runner closure serves every strategy: with no snapshots
         // captured (cold / unsupported dispatcher) every mask
@@ -767,7 +750,8 @@ impl<'a> CampaignRunner<'a> {
         let program = self.program;
         let trace_on = self.trace;
         let runner = move |spec: &InjectionSpec| -> DispatchedRun {
-            let snap = warm_start_cycle(spec)
+            let snap = spec
+                .warm_start_cycle()
                 .and_then(|c| snaps.iter().take_while(|s| s.cycle <= c).last());
             if trace_on {
                 let sig = golden_sig.as_ref();
@@ -1235,49 +1219,6 @@ mod tests {
         assert_eq!(plain, profiled);
         assert!(sink.into_profiles().is_empty(), "dispatcher opted out");
         assert_eq!(runner.golden_profile(), None);
-    }
-
-    #[test]
-    fn warm_start_cycle_picks_earliest_cycle_fault() {
-        let spec = InjectionSpec::single_transient(0, StructureId::IntRegFile, 0, 0, 500);
-        assert_eq!(warm_start_cycle(&spec), Some(500));
-
-        let mut multi = InjectionSpec::single_transient(1, StructureId::IntRegFile, 0, 0, 900);
-        faults_mut(&mut multi).extend(
-            InjectionSpec::single_transient(1, StructureId::IntRegFile, 1, 1, 300)
-                .faults()
-                .iter()
-                .cloned(),
-        );
-        assert_eq!(warm_start_cycle(&multi), Some(300));
-
-        // Instruction-scheduled faults force a cold start.
-        let mut inst = InjectionSpec::single_transient(2, StructureId::IntRegFile, 0, 0, 900);
-        faults_mut(&mut inst)[0].at = InjectTime::Instruction(10);
-        assert_eq!(warm_start_cycle(&inst), None);
-
-        // So does a fault-free mask.
-        let empty = InjectionSpec::fault_free(3);
-        assert_eq!(warm_start_cycle(&empty), None);
-
-        // Cycle-triggered attack scenarios warm-start at their trigger;
-        // instruction-triggered ones force a cold start.
-        let skip = InjectionSpec {
-            id: 4,
-            scenario: crate::model::ScenarioKind::InstructionSkip {
-                at: InjectTime::Cycle(700),
-                count: 1,
-            },
-        };
-        assert_eq!(warm_start_cycle(&skip), Some(700));
-        let skip_by_instr = InjectionSpec {
-            id: 5,
-            scenario: crate::model::ScenarioKind::InstructionSkip {
-                at: InjectTime::Instruction(40),
-                count: 1,
-            },
-        };
-        assert_eq!(warm_start_cycle(&skip_by_instr), None);
     }
 
     #[test]

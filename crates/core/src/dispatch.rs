@@ -17,18 +17,21 @@ use difi_uarch::residency::ResidencyLog;
 use difi_uarch::ProfileCounters;
 use std::sync::Arc;
 
-/// An opaque snapshot of a simulator paused mid-way through the golden run.
+/// An opaque handle on golden-run state, captured at one checkpoint.
 ///
 /// Captured by [`InjectorDispatcher::golden_snapshots`] and consumed by
 /// [`InjectorDispatcher::run_from`], which downcasts `state` back to the
-/// dispatcher's concrete simulator type and resumes it only when it was
-/// captured under the dispatcher's own configuration; any other snapshot
-/// runs cold. The campaign controller only reads `cycle` — to pick, per
-/// mask, the latest snapshot at or before the injection cycle — and shares
-/// the set immutably across worker threads (restoring is a clone; the
-/// snapshot itself is never mutated).
+/// dispatcher's concrete type and forks from it only when it was captured
+/// under the dispatcher's own configuration and program; any other
+/// snapshot runs cold. [`crate::substrate::SimDispatcher`]'s snapshots of
+/// one capture share one pool of golden cores, which every warm run
+/// changes: it takes a core out, advances it to the run's injection cycle
+/// and puts a copy of the advanced core back. The campaign controller only
+/// reads `cycle` — to pick, per mask, the latest snapshot at or before the
+/// injection cycle — and shares the set across worker threads; the pool's
+/// lock makes concurrent forks safe, and no fork changes a result.
 pub struct GoldenSnapshot {
-    /// Cycle at which the golden run was paused (state is exactly the
+    /// Checkpoint cycle at which the golden run was captured (the
     /// cold-run state at the *top* of this cycle, before any of its work).
     pub cycle: u64,
     /// Dispatcher-private simulator state.
@@ -84,7 +87,10 @@ pub trait InjectorDispatcher: Sync {
     /// Runs the golden (fault-free) prefix once, capturing a resumable
     /// snapshot at each cycle in `at_cycles` (must be sorted ascending).
     /// Capture stops early if the program terminates first, so the returned
-    /// set may be shorter than requested.
+    /// set may be shorter than requested. The snapshots may share state
+    /// (`SimDispatcher`'s share one pool of the captured cores), so the set
+    /// costs at most one simulator state per snapshot however many runs
+    /// fork from it.
     ///
     /// The default returns `None` — a dispatcher without checkpoint support
     /// simply opts out, and the campaign controller falls back to cold
@@ -99,15 +105,21 @@ pub trait InjectorDispatcher: Sync {
         None
     }
 
-    /// Runs `spec` warm: restores `snap` (a clone of the golden state at
-    /// `snap.cycle`) and simulates only the remainder.
+    /// Runs `spec` warm: forks the golden run held by `snap` at the mask's
+    /// first injection cycle ([`InjectionSpec::warm_start_cycle`]) and
+    /// simulates only the remainder. `SimDispatcher` advances the latest
+    /// golden core at or before that cycle fault-free to exactly that
+    /// cycle, so the snapshot's shared state changes with every call; a
+    /// mask with no such cycle, or whose cycle precedes every pooled core,
+    /// runs cold.
     ///
-    /// Contract: when every fault in `spec` is cycle-scheduled at or after
-    /// `snap.cycle`, the result is byte-identical to a cold
-    /// [`InjectorDispatcher::run`] of the same `(program, spec, limits)` —
-    /// the fault-free prefix is deterministic, so replaying it adds
-    /// information the snapshot already holds. The default falls back to
-    /// the cold path, which is always correct.
+    /// Contract: the result is byte-identical to a cold
+    /// [`InjectorDispatcher::run`] of the same `(program, spec, limits)`,
+    /// whichever snapshot of the set is passed and in whatever order or
+    /// from however many threads the set is used — the fault-free prefix
+    /// is deterministic, so replaying it adds information the golden state
+    /// already holds. The default falls back to the cold path, which is
+    /// always correct.
     fn run_from(
         &self,
         snap: &GoldenSnapshot,

@@ -385,6 +385,28 @@ impl InjectionSpec {
         matches!(&self.scenario, ScenarioKind::BitFlips { faults } if faults.is_empty())
     }
 
+    /// The golden cycle a warm start forks this mask at: its earliest
+    /// cycle-scheduled fault, or a control-flow scenario's cycle trigger.
+    /// Every cycle before it is fault-free. `None` forces a cold start:
+    /// either the mask is fault-free, or it is scheduled by instruction
+    /// count, whose firing cycle is unknown before simulation.
+    pub fn warm_start_cycle(&self) -> Option<u64> {
+        if let Some(at) = self.scenario.trigger() {
+            return match at {
+                InjectTime::Cycle(c) => Some(c),
+                InjectTime::Instruction(_) => None,
+            };
+        }
+        let mut earliest: Option<u64> = None;
+        for f in self.faults() {
+            match f.at {
+                InjectTime::Cycle(c) => earliest = Some(earliest.map_or(c, |m| m.min(c))),
+                InjectTime::Instruction(_) => return None,
+            }
+        }
+        earliest
+    }
+
     /// JSON form used by the mask repository. Bit-flip masks keep the
     /// original `{"id":…,"faults":[…]}` layout byte-for-byte, so every
     /// pre-scenario journal, log, and fixture round-trips unchanged; attack
@@ -864,6 +886,33 @@ mod tests {
             assert!(s.faults().is_empty());
             assert!(!s.is_fault_free(), "attack scenarios are never golden");
         }
+    }
+
+    #[test]
+    fn warm_start_cycle_picks_earliest_cycle_fault() {
+        let spec = InjectionSpec::single_transient(0, StructureId::IntRegFile, 0, 0, 500);
+        assert_eq!(spec.warm_start_cycle(), Some(500));
+
+        let site = |cycle| InjectionSpec::single_transient(1, StructureId::IntRegFile, 1, 1, cycle);
+        let multi = InjectionSpec::bit_flips(1, [site(900).faults(), site(300).faults()].concat());
+        assert_eq!(multi.warm_start_cycle(), Some(300));
+
+        // Instruction-scheduled faults force a cold start.
+        let mut faults = site(900).faults().to_vec();
+        faults[0].at = InjectTime::Instruction(10);
+        assert_eq!(InjectionSpec::bit_flips(2, faults).warm_start_cycle(), None);
+
+        // So does a fault-free mask.
+        assert_eq!(InjectionSpec::fault_free(3).warm_start_cycle(), None);
+
+        // Cycle-triggered attack scenarios warm-start at their trigger;
+        // instruction-triggered ones force a cold start.
+        let skip = |at| InjectionSpec {
+            id: 4,
+            scenario: ScenarioKind::InstructionSkip { at, count: 1 },
+        };
+        assert_eq!(skip(InjectTime::Cycle(700)).warm_start_cycle(), Some(700));
+        assert_eq!(skip(InjectTime::Instruction(40)).warm_start_cycle(), None);
     }
 
     #[test]

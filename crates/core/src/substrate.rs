@@ -38,10 +38,11 @@
 //!   model narrow (2 int ALUs, 2 FP).
 //!
 //! Every run — cold or warm, plain, traced, profiled, recording or
-//! residency-tracing — takes the same path: boot a core (or clone a golden
-//! snapshot of this configuration), enable the requested observers,
-//! translate the mask into engine coordinates, simulate, and convert the
-//! engine's exit into the campaign's raw-result record.
+//! residency-tracing — takes the same path: boot a core (or fork one from
+//! the golden cores of this configuration at the mask's injection cycle),
+//! enable the requested observers, translate the mask into engine
+//! coordinates, simulate, and convert the engine's exit into the campaign's
+//! raw-result record.
 //!
 //! ```
 //! use difi_core::substrate::{GeFin, MaFin};
@@ -89,7 +90,12 @@ use difi_uarch::pipeline::{BtbOrg, CoreConfig, CorePolicy, LsqOrg, OoOCore, SimE
 use difi_uarch::predictor::TournamentConfig;
 use difi_uarch::residency::ResidencyLog;
 use difi_uarch::ProfileCounters;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// The golden cores one [`SimDispatcher::golden_snapshots`] call captured,
+/// shared by every snapshot it returned. Each core is paused at the top of
+/// its cycle; a warm run takes one out, advances it and puts a clone back.
+type GoldenPool = Arc<Mutex<Vec<OoOCore>>>;
 
 /// The MarsSim core configuration (Table II, MARSS/x86 column).
 pub fn mars_config() -> CoreConfig {
@@ -262,9 +268,10 @@ impl SimDispatcher {
         OoOCore::new(self.cfg, program)
     }
 
-    /// The single run path: from a fresh core, or from a clone of `start`
-    /// when it holds a core of this configuration booted with this program —
-    /// any other snapshot falls back to the always-correct cold start.
+    /// The single run path: from a core forked out of `start`'s golden pool
+    /// at the mask's first injection cycle ([`SimDispatcher::fork`]), or
+    /// from a fresh core when the mask has no such cycle or no pooled core
+    /// fits — the always-correct cold start.
     fn simulate(
         &self,
         start: Option<&GoldenSnapshot>,
@@ -278,12 +285,14 @@ impl SimDispatcher {
             "{} simulates {} programs",
             self.name, self.isa
         );
-        let mut core = match start.and_then(|s| s.state.downcast_ref::<OoOCore>()) {
-            Some(paused) if *paused.config() == self.cfg && paused.program() == program => {
-                paused.clone()
-            }
-            _ => self.boot(program),
+        let forked = match (
+            start.and_then(|s| s.state.downcast_ref::<GoldenPool>()),
+            spec.warm_start_cycle(),
+        ) {
+            (Some(pool), Some(cycle)) => self.fork(pool, program, cycle, limits),
+            _ => None,
         };
+        let mut core = forked.unwrap_or_else(|| self.boot(program));
         if observe.trace {
             core.enable_fault_tracing(observe.golden_sig.cloned());
         }
@@ -318,10 +327,54 @@ impl SimDispatcher {
         }
     }
 
+    /// Forks the golden run at `cycle`: takes out of `pool` the latest core
+    /// at or before `cycle`, advances it fault-free to the top of `cycle`,
+    /// puts a clone of the advanced core back and returns the advanced core
+    /// to run the fault on. The pool keeps the clone because a clone's
+    /// buffers are sized to their contents, while the advanced core's have
+    /// grown over the cycles it ran. The lock is held only to take and to
+    /// put back, never while simulating or cloning.
+    ///
+    /// `None` — run cold — when no pooled core is at or before `cycle`, when
+    /// the pool holds cores of another configuration or program (the core
+    /// taken goes back untouched), or when the program ends before `cycle`
+    /// (the finished core is dropped, so the pool shrinks by one).
+    fn fork(
+        &self,
+        pool: &GoldenPool,
+        program: &Program,
+        cycle: u64,
+        limits: &RunLimits,
+    ) -> Option<OoOCore> {
+        let mut core = {
+            let mut cores = pool.lock().expect("golden pool lock");
+            let (k, _) = cores
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.cycle() <= cycle)
+                .max_by_key(|(_, c)| c.cycle())?;
+            cores.swap_remove(k)
+        };
+        if *core.config() != self.cfg || core.program() != program {
+            pool.lock().expect("golden pool lock").push(core);
+            return None;
+        }
+        if core
+            .run_until(&[], &to_engine_limits(limits), Some(cycle))
+            .is_some()
+        {
+            return None;
+        }
+        let fresh = core.clone();
+        pool.lock().expect("golden pool lock").push(fresh);
+        Some(core)
+    }
+
     /// Drives the fault-free prefix once, pausing at each cycle of
-    /// `at_cycles` (sorted ascending) and snapshotting via `Clone`. Capture
-    /// stops early if the program terminates before a requested cycle. With
-    /// `profiled`, each snapshot also carries its prefix's profile counters.
+    /// `at_cycles` (sorted ascending) and cloning the paused core into one
+    /// pool that every returned snapshot shares. Capture stops early if the
+    /// program terminates before a requested cycle. With `profiled`, each
+    /// pooled core also carries its prefix's profile counters.
     fn capture(
         &self,
         program: &Program,
@@ -339,17 +392,22 @@ impl SimDispatcher {
             core.enable_profiling();
         }
         let elim = to_engine_limits(limits);
-        let mut snaps = Vec::with_capacity(at_cycles.len());
+        let mut cores = Vec::with_capacity(at_cycles.len());
         for &cycle in at_cycles {
             if core.run_until(&[], &elim, Some(cycle)).is_some() {
                 break; // terminal state before this checkpoint — stop capturing
             }
-            snaps.push(GoldenSnapshot {
-                cycle,
-                state: Box::new(core.clone()),
-            });
+            cores.push(core.clone());
         }
-        snaps
+        let captured = &at_cycles[..cores.len()];
+        let pool: GoldenPool = Arc::new(Mutex::new(cores));
+        captured
+            .iter()
+            .map(|&cycle| GoldenSnapshot {
+                cycle,
+                state: Box::new(Arc::clone(&pool)),
+            })
+            .collect()
     }
 }
 

@@ -748,6 +748,11 @@ impl OoOCore {
         &self.program
     }
 
+    /// The cycle the core is at: a paused core is at the top of it.
+    pub fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
     /// The injectable structures of this configuration (the per-simulator
     /// realization of Table IV).
     pub fn structures(cfg: &CoreConfig) -> Vec<StructureDesc> {

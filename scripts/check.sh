@@ -3,6 +3,8 @@
 # Mirrors what CI would run; keep it green before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+smoke_dir="$(mktemp -d)"
+trap 'rm -rf "$smoke_dir"' EXIT
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
@@ -76,14 +78,61 @@ fi
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test"
+echo "==> cargo test (every workspace crate, debug assertions on)"
+# The root manifest's default-members make a bare `cargo test` cover every
+# crate, with the engine's debug_assert! cross-checks compiled in.
 cargo test -q
 
 echo "==> cargo test --workspace (release)"
-# Every crate's unit and doc tests, which the root-package run above skips.
-# Release, because the difi-uarch pipeline suite alone runs for minutes in
-# debug.
-cargo test --workspace --release -q
+# The same tests once with release codegen. The output is kept so the next
+# stage can find the release oracles in it.
+cargo test --workspace --release -- -q 2>&1 | tee "$smoke_dir/release_tests.log"
+
+echo "==> release oracles ran and passed"
+# The differential oracles and the allocation check, each run once by the
+# stage above, must each have run there and passed at least one test — a
+# renamed or dropped binary fails the gate instead of leaving it silently:
+#   warm_start_equivalence  checkpointed (forked) campaigns are
+#                           byte-identical to cold ones, on 1-4 workers;
+#                           every mask kind forks exactly at its cycle
+#   resume_equivalence      a journal cut at any crash point, torn line
+#                           included, resumes to the uninterrupted log
+#   trace_determinism       fault-lifecycle event streams are identical
+#                           under cold, checkpointed and resumed campaigns,
+#                           and tracing does not perturb the log
+#   profiler_determinism    stall/occupancy counters are identical under
+#                           cold, checkpointed and collapsed campaigns and
+#                           tile their run's cycles (DESIGN.md §15)
+#   snapshot_merge          1/2/4-worker metrics merge to identical totals;
+#                           the merge is a commutative monoid
+#   collapse_equivalence    collapsed campaigns classify every mask as the
+#                           full campaign does, with sound provenance
+#   scenario_equivalence    mixed bit-flip and attack scenarios are
+#                           byte-identical across strategies (DESIGN.md §14)
+#   zero_alloc              a steady-state cycle window of every bench
+#                           workload performs zero heap allocations (§13)
+python3 - "$smoke_dir/release_tests.log" <<'PY'
+import re, sys
+REQUIRED = ["warm_start_equivalence", "resume_equivalence", "trace_determinism",
+           "profiler_determinism", "snapshot_merge", "collapse_equivalence",
+           "scenario_equivalence", "zero_alloc"]
+lines = open(sys.argv[1]).read().splitlines()
+bad = []
+for name in REQUIRED:
+    starts = [i for i, l in enumerate(lines) if re.match(rf"\s*Running tests/{name}\.rs \(", l)]
+    if len(starts) != 1:
+        bad.append(f"{name} ran {len(starts)} times")
+        continue
+    result = next((l for l in lines[starts[0]:] if l.startswith("test result:")), "")
+    m = re.match(r"test result: ok\. (\d+) passed; 0 failed", result)
+    if not m or int(m.group(1)) == 0:
+        bad.append(f"{name}: {result or 'no test result'}")
+        continue
+    print(f"  {name}: {m.group(1)} passed")
+if bad:
+    print("error: release checks missing or failing: " + "; ".join(bad), file=sys.stderr)
+    sys.exit(1)
+PY
 
 echo "==> benchmark package (cellbench)"
 # The benchmark is a Cargo workspace of its own, so the workspace-wide
@@ -94,60 +143,9 @@ cargo fmt --manifest-path "$bench_manifest" --check
 cargo clippy --manifest-path "$bench_manifest" --release --all-targets -- -D warnings
 cargo test --manifest-path "$bench_manifest" -q --release
 
-echo "==> warm-start checkpoint equivalence (release)"
-# The differential oracle for the checkpointed campaign engine: run it
-# explicitly (and in release — it simulates full campaigns twice).
-cargo test --release -q --test warm_start_equivalence
-
-echo "==> crash-resume equivalence (release)"
-# The differential oracle for the journaled campaign engine: interrupt a
-# journal at several crash points (including a torn line) and require the
-# resumed log to be byte-identical to the uninterrupted one.
-cargo test --release -q --test resume_equivalence
-
-echo "==> trace determinism across strategies (release)"
-# The differential oracle for the observability layer: identical masks must
-# produce identical fault-lifecycle event streams under cold, checkpointed
-# and crash-resumed campaigns — and tracing must not perturb the log.
-cargo test --release -q --test trace_determinism
-
-echo "==> profiler determinism across strategies (release)"
-# The differential oracle for the pipeline profiler (DESIGN.md §15):
-# identical masks must produce byte-identical stall/occupancy counters
-# under cold, checkpointed and collapsed campaigns, profiling must not
-# perturb the log, and every profile must tile its run's cycles
-# (committed + Σ stalls == profiled == reported cycles).
-cargo test --release -q --test profiler_determinism
-
-echo "==> snapshot-merge split invariance (release)"
-# The order-independence oracle for mergeable telemetry: 1/2/4-worker
-# campaigns must merge to identical counters/histograms, and
-# MetricsSnapshot::merge must be commutative and associative with the
-# empty snapshot as identity on real campaign snapshots.
-cargo test --release -q --test snapshot_merge
-
-echo "==> collapse equivalence (release)"
-# The differential oracle for mask-space equivalence collapsing: on two
-# workloads across the paper's three setups, a collapsed campaign must
-# classify every individual mask exactly as the full campaign does, save
-# dispatches with sound per-class provenance, and resume from an
-# interrupted collapsed journal identically.
-cargo test --release -q --test collapse_equivalence
-
-echo "==> scenario equivalence (release)"
-# The differential oracle for the scenario layer (DESIGN.md §14): campaigns
-# over a mixed scenario repository — bit flips, correlated bursts,
-# instruction skip, opcode corruption, branch inversion — must be
-# byte-identical across cold, checkpointed, and crash-resumed strategies on
-# 2 workloads × 3 setups, and collapsing must stamp attack scenarios as
-# singletons without changing any verdict.
-cargo test --release -q --test scenario_equivalence
-
 echo "==> campaign binary journal/resume smoke"
 # End-to-end over the CLI: journal a tiny campaign with live progress, then
 # resume the (already complete) journal and require the same classification.
-smoke_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir"' EXIT
 run_campaign_bin() {
     cargo run --release -q -p difi-bench --bin campaign -- \
         --injector MaFIN-x86 --bench sha --structure l1d_data \
@@ -267,11 +265,6 @@ grep -q 'classification (24 runs' "$smoke_dir/sweep.out" || {
     echo "error: sweep did not dispatch one run per window cycle" >&2
     exit 1
 }
-
-echo "==> allocation-free steady state (release)"
-# DESIGN.md §13: a steady-state cycle window of every bench workload must
-# perform zero heap allocations (counting-GlobalAlloc test binary).
-cargo test --release -q -p difi-bench --test zero_alloc
 
 echo "==> throughput gate (release, fail on >10% Mcyc/s regression)"
 # BENCH_throughput.json at the repo root is the committed baseline. Rerun

@@ -2,11 +2,13 @@
 //! workloads and both simulator backends, a campaign served from golden-run
 //! checkpoints must be **byte-identical** to the cold-start campaign — same
 //! classifications, outputs, and exception counts for every mask. The
-//! fault-free prefix is deterministic, so restoring it from a snapshot
-//! instead of re-simulating it may change wall-clock time only.
+//! fault-free prefix is deterministic, so forking each run from the golden
+//! cores instead of re-simulating its prefix may change wall-clock time
+//! only.
 
 use difi::prelude::*;
 use std::io::Read;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Campaign size: full-scale in release (scripts/check.sh runs this test in
 /// release explicitly); trimmed in debug where the simulator is ~10× slower,
@@ -27,6 +29,7 @@ fn campaign_pair(
     bench: Bench,
     n: u64,
     checkpoints: usize,
+    threads: usize,
 ) -> (CampaignLog, CampaignLog) {
     let program = build(bench, dispatcher.isa()).expect("assembles");
     let golden = golden_run(dispatcher, &program, 200_000_000);
@@ -34,7 +37,7 @@ fn campaign_pair(
     let desc = difi::core::dispatch::structure_desc(dispatcher, structure).expect("injectable");
     let masks = MaskGenerator::new(1979).transient(&desc, golden.cycles_measured(), n);
     let cfg = CampaignConfig {
-        threads: 2,
+        threads,
         early_stop: true,
         golden_max_cycles: 200_000_000,
     };
@@ -61,34 +64,37 @@ fn saved_bytes(log: &CampaignLog, tag: &str) -> Vec<u8> {
 
 #[test]
 fn checkpointed_campaign_is_byte_identical_to_cold_start() {
-    // ≥2 workloads × both simulator backends (MarsSim and GemSim).
-    for bench in [Bench::Sha, Bench::Fft] {
-        for dispatcher in backends() {
-            let d = dispatcher.as_ref();
-            let (cold, warm) = campaign_pair(d, bench, N_MASKS, K_CHECKPOINTS);
-            assert_eq!(
-                cold,
-                warm,
-                "{:?}/{}: warm-start log diverged from cold-start oracle",
-                bench,
-                d.name()
-            );
-            // Byte-identical through the logs repository too.
-            let tag_c = format!("{}_{bench:?}_cold", d.name());
-            let tag_w = format!("{}_{bench:?}_warm", d.name());
-            assert_eq!(
-                saved_bytes(&cold, &tag_c),
-                saved_bytes(&warm, &tag_w),
-                "{:?}/{}: serialized logs differ",
-                bench,
-                d.name()
-            );
-            // Identical classification tallies follow, but assert anyway —
-            // this is the acceptance criterion stated in the paper's terms.
-            let cc = classify_log(&cold);
-            let cw = classify_log(&warm);
-            assert_eq!(cc.total(), N_MASKS);
-            assert_eq!(cc, cw, "{:?}/{}", bench, d.name());
+    // ≥2 workloads × both simulator backends (MarsSim and GemSim), on one
+    // worker and on workers that take the golden cores out of order.
+    for threads in [1, 2, 4] {
+        for bench in [Bench::Sha, Bench::Fft] {
+            for dispatcher in backends() {
+                let d = dispatcher.as_ref();
+                let (cold, warm) = campaign_pair(d, bench, N_MASKS, K_CHECKPOINTS, threads);
+                assert_eq!(
+                    cold,
+                    warm,
+                    "{:?}/{} on {threads} threads: warm-start log diverged from cold-start oracle",
+                    bench,
+                    d.name()
+                );
+                // Byte-identical through the logs repository too.
+                let tag_c = format!("{}_{bench:?}_{threads}_cold", d.name());
+                let tag_w = format!("{}_{bench:?}_{threads}_warm", d.name());
+                assert_eq!(
+                    saved_bytes(&cold, &tag_c),
+                    saved_bytes(&warm, &tag_w),
+                    "{:?}/{}: serialized logs differ",
+                    bench,
+                    d.name()
+                );
+                // Identical classification tallies follow, but assert anyway —
+                // this is the acceptance criterion stated in the paper's terms.
+                let cc = classify_log(&cold);
+                let cw = classify_log(&warm);
+                assert_eq!(cc.total(), N_MASKS);
+                assert_eq!(cc, cw, "{:?}/{}", bench, d.name());
+            }
         }
     }
 }
@@ -175,4 +181,134 @@ fn a_snapshot_of_another_program_runs_cold() {
         mafin.run(&fft, &spec, &limits),
         "MaFIN resumed a snapshot of sha for fft"
     );
+}
+
+/// One mask of each kind a run can fork for, all scheduled at `cycle`:
+/// single transient, intermittent, permanent stuck-at, correlated burst,
+/// and the three cycle-triggered control-flow attacks.
+fn every_kind_at(cycle: u64) -> Vec<InjectionSpec> {
+    let site = |bit, kind, duration| FaultRecord {
+        core: 0,
+        structure: StructureId::IntRegFile,
+        entry: 3,
+        bit,
+        kind,
+        at: InjectTime::Cycle(cycle),
+        duration,
+    };
+    let attack = |id, scenario| InjectionSpec { id, scenario };
+    let at = InjectTime::Cycle(cycle);
+    vec![
+        InjectionSpec::single_transient(0, StructureId::IntRegFile, 3, 5, cycle),
+        InjectionSpec::bit_flips(
+            1,
+            vec![site(
+                5,
+                FaultKindSer::Stuck1,
+                FaultDuration::Intermittent { cycles: 500 },
+            )],
+        ),
+        InjectionSpec::bit_flips(
+            2,
+            vec![site(5, FaultKindSer::Stuck0, FaultDuration::Permanent)],
+        ),
+        InjectionSpec::bit_flips(
+            3,
+            (4..7)
+                .map(|bit| site(bit, FaultKindSer::Flip, FaultDuration::Transient))
+                .collect(),
+        ),
+        attack(4, ScenarioKind::InstructionSkip { at, count: 1 }),
+        attack(5, ScenarioKind::OpcodeCorrupt { at, xor: 0x5a }),
+        attack(6, ScenarioKind::BranchInvert { at, count: 1 }),
+    ]
+}
+
+#[test]
+fn a_run_forks_exactly_at_its_injection_cycle() {
+    // A fork advances the latest golden core at or before the injection
+    // cycle to exactly that cycle. Cover the fork that advances nothing (the
+    // checkpoint cycle itself, cycle 0 included), the one-cycle advance, and
+    // a mid-interval one, for every mask kind; each from a fresh snapshot
+    // set, so the pooled cores sit exactly at their checkpoints.
+    let mafin = MaFin::new();
+    let program = build(Bench::Fft, mafin.isa()).expect("assembles");
+    let g = golden_run(&mafin, &program, 200_000_000).cycles_measured();
+    let limits = RunLimits::campaign(g);
+    let checkpoints = [0, g / 2];
+    for checkpoint in checkpoints {
+        for cycle in [checkpoint, checkpoint + 1, checkpoint + g / 4] {
+            for spec in every_kind_at(cycle) {
+                let snaps = mafin
+                    .golden_snapshots(&program, &checkpoints, &limits)
+                    .expect("MaFIN supports warm starts");
+                let snap = snaps
+                    .iter()
+                    .rfind(|s| s.cycle <= cycle)
+                    .expect("a checkpoint precedes the injection");
+                assert_eq!(
+                    mafin.run_from(snap, &program, &spec, &limits),
+                    mafin.run(&program, &spec, &limits),
+                    "mask {} ({}) at cycle {cycle}, checkpoint {checkpoint}",
+                    spec.id,
+                    spec.scenario.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn one_snapshot_set_serves_requests_in_any_order() {
+    // The runner asks in ascending cycle order, but nothing in the contract
+    // does: requests in descending order, then from 4 threads in shuffled
+    // order, all served by one snapshot set whose pooled cores each earlier
+    // request moved, must each equal the cold run.
+    let mafin = MaFin::new();
+    let program = build(Bench::Fft, mafin.isa()).expect("assembles");
+    let g = golden_run(&mafin, &program, 200_000_000).cycles_measured();
+    let limits = RunLimits::campaign(g);
+    let desc =
+        difi::core::dispatch::structure_desc(&mafin, StructureId::L1dData).expect("injectable");
+    let masks = MaskGenerator::new(1843).mixed_scenarios(&desc, g, N_MASKS * 3);
+    let cold: Vec<RawRunResult> = masks
+        .iter()
+        .map(|m| mafin.run(&program, m, &limits))
+        .collect();
+    let snaps = mafin
+        .golden_snapshots(&program, &[0, g / 4, g / 2, 3 * g / 4], &limits)
+        .expect("MaFIN supports warm starts");
+    let warm = |spec: &InjectionSpec| {
+        let c = spec
+            .warm_start_cycle()
+            .expect("every mixed mask is cycle-triggered");
+        let snap = snaps
+            .iter()
+            .rfind(|s| s.cycle <= c)
+            .expect("cycle-0 checkpoint");
+        mafin.run_from(snap, &program, spec, &limits)
+    };
+
+    let mut descending: Vec<usize> = (0..masks.len()).collect();
+    descending.sort_by_key(|&i| std::cmp::Reverse(masks[i].warm_start_cycle()));
+    for i in descending {
+        assert_eq!(warm(&masks[i]), cold[i], "mask {i}, descending order");
+    }
+
+    // A seeded shuffle of the mask indices.
+    let mut order: Vec<usize> = (0..masks.len()).collect();
+    let mut rng = difi::util::rng::Xoshiro256::seed_from(2015);
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.gen_range(0, i as u64 + 1) as usize);
+    }
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&i) = order.get(k) else { break };
+                assert_eq!(warm(&masks[i]), cold[i], "mask {i}, 4 threads");
+            });
+        }
+    });
 }
