@@ -20,8 +20,9 @@
 //! a campaign killed mid-flight restarts with `--resume` on the same path
 //! (same injector/bench/structure/seed/injections), re-running only the
 //! missing masks and producing the identical log. `--progress` prints live
-//! completion/ETA telemetry on stderr. `--checkpoints` enables the
-//! warm-start engine with that many golden-run checkpoints.
+//! completion/ETA telemetry on stderr. `--checkpoints N` enables the
+//! warm-start engine, which forks each run from a pool of at most N golden
+//! cores captured at boot (one per worker).
 //!
 //! `--collapse` statically partitions the mask space into provably
 //! equivalent classes against the golden run's residency trace and runs
@@ -94,7 +95,8 @@ OPTIONS:
   --journal PATH        stream runs to an append-only journal
   --resume PATH         finish an interrupted journal (same parameters)
   --progress            live completion/ETA telemetry on stderr
-  --checkpoints N       warm-start engine with N golden checkpoints
+  --checkpoints N       warm-start engine: fork each run from a pool of
+                        at most N golden cores (one per worker)
   --collapse            collapse the mask space into equivalence classes;
                         runs one representative per class and stamps every
                         journal/log line with its class provenance.
@@ -342,8 +344,10 @@ fn main() {
     let mem_traces = trace_path.is_some().then(MemoryTraceSink::new);
     let mem_profiles = profile_on.then(MemoryProfileSink::new);
 
+    // About a hundred progress lines, however many masks (a sweep's count
+    // is its site space, not --injections).
     let progress = {
-        let p = ProgressSink::every(if injections > 200 { 10 } else { 1 });
+        let p = ProgressSink::every(masks.len() / 100);
         match &registry {
             Some(reg) => p.with_metrics(Arc::clone(reg)),
             None => p,

@@ -21,8 +21,6 @@ commands:
   table2 table3 table4       the configuration/fault-model/structure tables
   sampling                   §IV.A statistical sampling numbers
   remarks                    runtime statistics behind Remarks 1–11
-  speedup                    §III.B.2 early-stop optimization (30–70%)
-  overhead                   §III.C MARSS data-array extension cost (≈40%)
   all                        everything above
 ";
 
@@ -118,8 +116,6 @@ fn main() {
         "table4" => table4(),
         "sampling" => sampling(),
         "remarks" => remarks(&opts),
-        "speedup" => speedup(&opts),
-        "overhead" => overhead(&opts),
         "all" => {
             table2();
             table3();
@@ -129,8 +125,6 @@ fn main() {
                 figure(s, title, &opts);
             }
             remarks(&opts);
-            speedup(&opts);
-            overhead(&opts);
         }
         other => usage_error(&format!("unknown command {other}")),
     }
@@ -198,13 +192,14 @@ fn figure(structure: StructureId, title: &str, opts: &Opts) {
     );
 }
 
-/// Golden checkpoints of every characterization cell.
+/// Upper bound on the pooled golden cores of every characterization cell:
+/// the pool holds one per worker, at most this many.
 const CHECKPOINTS: usize = 8;
 
 /// One characterization cell: `masks` into `structure` on `dispatcher`.
-/// Equivalence collapsing with warm representatives where the structure has
-/// a golden residency profile (all five figure structures do), warm runs
-/// where it has none. Either way every mask classifies as it would in a
+/// Equivalence collapsing with representatives forked from the golden-core
+/// pool where the structure has a golden residency profile (all five figure
+/// structures do), forked runs where it has none. Either way every mask classifies as it would in a
 /// [`Strategy::Cold`] campaign (`tests/collapse_equivalence.rs`,
 /// `tests/warm_start_equivalence.rs`); the log also carries each run's
 /// collapse provenance.
@@ -384,91 +379,6 @@ fn boot(name: &str, program: &Program) -> OoOCore {
         "MaFIN-x86" => MaFin::new().boot(program),
         "GeFIN-x86" => GeFin::x86().boot(program),
         _ => GeFin::arm().boot(program),
-    }
-}
-
-fn speedup(opts: &Opts) {
-    println!("\n§III.B.2 — early-stop optimization speedup (paper: 30–70% per run)");
-    let mafin = MaFin::new();
-    let bench = Bench::Sha;
-    let program = build(bench, mafin.isa()).expect("assembles");
-    let golden = golden_run(&mafin, &program, 200_000_000);
-    for structure in [
-        StructureId::IntRegFile,
-        StructureId::L1dData,
-        StructureId::L2Data,
-    ] {
-        let desc = difi::core::dispatch::structure_desc(&mafin, structure)
-            .expect("figure structures are injectable");
-        let masks = MaskGenerator::new(opts.seed).transient(
-            &desc,
-            golden.cycles_measured(),
-            opts.injections,
-        );
-        let mut cfg = CampaignConfig {
-            threads: 1,
-            ..Default::default()
-        };
-        cfg.early_stop = false;
-        let t0 = Instant::now();
-        let slow = CampaignRunner::new(&mafin, &program, structure, opts.seed, &cfg).run(&masks);
-        let t_slow = t0.elapsed();
-        cfg.early_stop = true;
-        let t0 = Instant::now();
-        let fast = CampaignRunner::new(&mafin, &program, structure, opts.seed, &cfg).run(&masks);
-        let t_fast = t0.elapsed();
-        // Sum only measured runs: statically-pruned masks never executed and
-        // carry no cycle count.
-        let cyc =
-            |log: &CampaignLog| -> u64 { log.runs.iter().filter_map(|r| r.result.cycles).sum() };
-        let (cs, cf) = (cyc(&slow), cyc(&fast));
-        println!(
-            "  {:<12} simulated cycles {:>12} → {:>12}  ({:.0}% saved)   wall {:?} → {:?}",
-            structure.name(),
-            cs,
-            cf,
-            100.0 * (1.0 - cf as f64 / cs as f64),
-            t_slow,
-            t_fast
-        );
-        // Classifications must agree (early stop is sound).
-        assert_eq!(
-            classify_log(&slow).vulnerability(),
-            classify_log(&fast).vulnerability(),
-            "early stop must not change the verdicts"
-        );
-    }
-}
-
-fn overhead(_opts: &Opts) {
-    println!("\n§III.C — MARSS data-array extension cost (paper: ≈40% throughput)");
-    let full = mars_config();
-    let perf = difi::core::substrate::perf_only_config();
-    for bench in [Bench::Sha, Bench::Cjpeg, Bench::Caes] {
-        let program = build(bench, Isa::X86e).expect("assembles");
-        let wall = |cfg| {
-            let mut core = OoOCore::new(cfg, &program);
-            let t0 = Instant::now();
-            let run = core.run(
-                &[],
-                &EngineLimits {
-                    max_cycles: 200_000_000,
-                    early_stop: false,
-                    deadlock_window: 200_000,
-                },
-            );
-            assert!(matches!(run.exit, difi::uarch::SimExit::Exited(0)));
-            t0.elapsed()
-        };
-        let t_perf = wall(perf);
-        let t_full = wall(full);
-        println!(
-            "  {:<8} perf-only {:?} → with data arrays {:?}  (+{:.0}%)",
-            bench.name(),
-            t_perf,
-            t_full,
-            100.0 * (t_full.as_secs_f64() / t_perf.as_secs_f64() - 1.0)
-        );
     }
 }
 

@@ -84,16 +84,16 @@ impl Default for CampaignConfig {
 pub enum Strategy<'a> {
     /// Every mask cold-starts a fresh simulator.
     Cold,
-    /// The warm-start engine: the golden run is paused at K evenly spaced
-    /// checkpoints ([`InjectorDispatcher::golden_snapshots`]), which become
-    /// one pool of golden cores. Runs go in injection-cycle order, and each
-    /// forks the golden run at its injection cycle: it advances the latest
-    /// pooled core at or before that cycle, so the golden prefix is
-    /// simulated about once per campaign. Byte-identical to
-    /// [`Strategy::Cold`] — the fault-free prefix is deterministic.
+    /// The warm-start engine: one pool of golden cores, captured at boot
+    /// ([`InjectorDispatcher::golden_snapshots`] at cycle 0), one core per
+    /// worker. Runs go in injection-cycle order, and each forks the golden
+    /// run at its injection cycle: it advances the latest pooled core at or
+    /// before that cycle, so the golden prefix is simulated about once per
+    /// worker. Byte-identical to [`Strategy::Cold`] — the fault-free prefix
+    /// is deterministic.
     Checkpointed {
-        /// Number of evenly spaced golden-run checkpoints: the golden cores
-        /// held in memory.
+        /// Upper bound on the golden cores held in memory: the pool holds
+        /// min(K, workers) of them, and K = 0 runs cold.
         checkpoints: usize,
     },
     /// Fault-equivalence collapsing ([`partition_equivalence`]). Dead
@@ -110,9 +110,9 @@ pub enum Strategy<'a> {
     Collapsed {
         /// Golden-run residency profile to partition against.
         profile: &'a AceProfile,
-        /// Golden-run checkpoints for warm-starting the dispatched
-        /// representatives (0 = cold representatives), composing the
-        /// collapse with the [`Strategy::Checkpointed`] warm-start engine.
+        /// Upper bound on the pooled golden cores that warm-start the
+        /// dispatched representatives (0 = cold representatives), composing
+        /// the collapse with the [`Strategy::Checkpointed`] warm-start engine.
         checkpoints: usize,
     },
 }
@@ -691,7 +691,7 @@ impl<'a> CampaignRunner<'a> {
         let checkpoints = match self.strategy {
             Strategy::Cold => 0,
             Strategy::Checkpointed { checkpoints } | Strategy::Collapsed { checkpoints, .. } => {
-                checkpoints as u64
+                checkpoints
             }
         };
         // Strategy preprocessing: the warm-start engine serves runs in
@@ -701,40 +701,39 @@ impl<'a> CampaignRunner<'a> {
             jobs.sort_by_key(|&(i, _)| masks[i].warm_start_cycle().unwrap_or(u64::MAX));
         }
         let jobs = jobs;
+        let workers = if jobs.len() < 2 {
+            1
+        } else {
+            threads.min(jobs.len())
+        };
 
-        // Golden checkpoints at golden·k/K for k = 0..K, the first at cycle
-        // 0 so that every cycle-scheduled job can fork, and none past the
-        // last job that will fork: no capture at all when no job can.
+        // The fork pool: min(K, workers) golden cores captured at boot, so
+        // capture simulates nothing. The pooled cores move forward along
+        // the sorted jobs, and the golden prefix is simulated about once
+        // per worker. No capture at all when no job can fork.
         let phase = Instant::now();
-        let last_fork = jobs
+        let forks = jobs
             .iter()
-            .filter_map(|&(i, _)| masks[i].warm_start_cycle())
-            .max();
-        let snaps: Vec<GoldenSnapshot> = match last_fork {
-            Some(last) if checkpoints > 0 => {
-                let golden_cycles = golden.cycles_measured();
-                let mut at_cycles: Vec<u64> = (0..checkpoints)
-                    .map(|k| golden_cycles * k / checkpoints)
-                    .filter(|&c| c <= last)
-                    .collect();
-                at_cycles.dedup();
-                if profile_on {
-                    // Profiled warm starts need snapshots that carry their
-                    // profiled-prefix counters; a dispatcher without them
-                    // falls back to cold profiled runs (empty snapshot set)
-                    // rather than mixing unprofiled snapshots into profiled
-                    // resumes, which would undercount every warm-started
-                    // run's prefix.
-                    self.dispatcher
-                        .golden_snapshots_profiled(self.program, &at_cycles, &limits)
-                        .unwrap_or_default()
-                } else {
-                    self.dispatcher
-                        .golden_snapshots(self.program, &at_cycles, &limits)
-                        .unwrap_or_default()
-                }
+            .any(|&(i, _)| masks[i].warm_start_cycle().is_some());
+        let snaps: Vec<GoldenSnapshot> = if checkpoints > 0 && forks {
+            let at_cycles = vec![0; checkpoints.min(workers)];
+            if profile_on {
+                // Profiled warm starts need snapshots that carry their
+                // profiled-prefix counters; a dispatcher without them
+                // falls back to cold profiled runs (empty snapshot set)
+                // rather than mixing unprofiled snapshots into profiled
+                // resumes, which would undercount every warm-started
+                // run's prefix.
+                self.dispatcher
+                    .golden_snapshots_profiled(self.program, &at_cycles, &limits)
+                    .unwrap_or_default()
+            } else {
+                self.dispatcher
+                    .golden_snapshots(self.program, &at_cycles, &limits)
+                    .unwrap_or_default()
             }
-            _ => Vec::new(),
+        } else {
+            Vec::new()
         };
         if let Some(m) = &self.metrics {
             m.gauge("phase.snapshots_ns")
@@ -750,9 +749,9 @@ impl<'a> CampaignRunner<'a> {
         let program = self.program;
         let trace_on = self.trace;
         let runner = move |spec: &InjectionSpec| -> DispatchedRun {
-            let snap = spec
-                .warm_start_cycle()
-                .and_then(|c| snaps.iter().take_while(|s| s.cycle <= c).last());
+            // The snapshots of one capture share one pool, so any of them
+            // serves any cycle-scheduled run.
+            let snap = snaps.first().filter(|_| spec.warm_start_cycle().is_some());
             if trace_on {
                 let sig = golden_sig.as_ref();
                 let (result, trace) = match snap {
@@ -802,7 +801,7 @@ impl<'a> CampaignRunner<'a> {
         };
 
         let phase = Instant::now();
-        if threads <= 1 || jobs.len() < 2 {
+        if workers <= 1 {
             for job in &jobs {
                 run_job(job, metrics_sink.as_ref());
             }
@@ -815,7 +814,7 @@ impl<'a> CampaignRunner<'a> {
             let next = AtomicUsize::new(0);
             let worker_snaps: Mutex<Vec<MetricsSnapshot>> = Mutex::new(Vec::new());
             std::thread::scope(|scope| {
-                for _ in 0..threads {
+                for _ in 0..workers {
                     scope.spawn(|| {
                         let local = self
                             .metrics
@@ -1197,6 +1196,129 @@ mod tests {
             .with_strategy(Strategy::Checkpointed { checkpoints: 4 })
             .run(&masks(12));
         assert_eq!(cold, warm);
+    }
+
+    /// Records every snapshot request — profiled or not, and at which
+    /// cycles — and serves no snapshots, so every run stays cold.
+    struct SnapshotRecorder {
+        inner: FakeDispatcher,
+        requests: Mutex<Vec<(bool, Vec<u64>)>>,
+    }
+
+    impl SnapshotRecorder {
+        fn record(&self, profiled: bool, at_cycles: &[u64]) -> Option<Vec<GoldenSnapshot>> {
+            let mut requests = self.requests.lock().expect("requests lock");
+            requests.push((profiled, at_cycles.to_vec()));
+            None
+        }
+    }
+
+    impl InjectorDispatcher for SnapshotRecorder {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn isa(&self) -> Isa {
+            self.inner.isa()
+        }
+
+        fn structures(&self) -> Vec<StructureDesc> {
+            self.inner.structures()
+        }
+
+        fn run(&self, program: &Program, spec: &InjectionSpec, limits: &RunLimits) -> RawRunResult {
+            self.inner.run(program, spec, limits)
+        }
+
+        fn golden_snapshots(
+            &self,
+            _program: &Program,
+            at_cycles: &[u64],
+            _limits: &RunLimits,
+        ) -> Option<Vec<GoldenSnapshot>> {
+            self.record(false, at_cycles)
+        }
+
+        fn golden_snapshots_profiled(
+            &self,
+            _program: &Program,
+            at_cycles: &[u64],
+            _limits: &RunLimits,
+        ) -> Option<Vec<GoldenSnapshot>> {
+            self.record(true, at_cycles)
+        }
+    }
+
+    #[test]
+    fn the_fork_pool_is_captured_at_boot_with_one_core_per_worker() {
+        use crate::model::{InjectTime, ScenarioKind};
+        let p = program();
+        let profile = collapse_profile();
+        let requests = |masks: &[InjectionSpec], strategy, threads, profiled| {
+            let d = SnapshotRecorder {
+                inner: FakeDispatcher::new(),
+                requests: Mutex::new(Vec::new()),
+            };
+            let cfg = CampaignConfig {
+                threads,
+                ..Default::default()
+            };
+            let log = CampaignRunner::new(&d, &p, StructureId::IntRegFile, 3, &cfg)
+                .with_strategy(strategy)
+                .with_profiling(profiled)
+                .run(masks);
+            assert_eq!(log.runs.len(), masks.len());
+            d.requests.into_inner().expect("requests lock")
+        };
+
+        // Cycle-scheduled masks across the 100-cycle golden run: `masks(9)`
+        // (one latch class when collapsed) and eight skips at cycles
+        // 10..=80, which collapse into singletons.
+        let mut forking = masks(9);
+        forking.extend((1..=8).map(|k| InjectionSpec {
+            id: 8 + k,
+            scenario: ScenarioKind::InstructionSkip {
+                at: InjectTime::Cycle(10 * k),
+                count: 1,
+            },
+        }));
+        for (threads, k, cores) in [(1, 8, 1), (4, 8, 4), (4, 2, 2)] {
+            for strategy in [
+                Strategy::Checkpointed { checkpoints: k },
+                Strategy::Collapsed {
+                    profile: &profile,
+                    checkpoints: k,
+                },
+            ] {
+                for profiled in [false, true] {
+                    assert_eq!(
+                        requests(&forking, strategy, threads, profiled),
+                        vec![(profiled, vec![0; cores])],
+                        "{strategy:?} on {threads} threads, profiled {profiled}"
+                    );
+                }
+            }
+        }
+
+        // No job can fork: instruction-scheduled masks, or a collapsed cell
+        // whose masks are all dead.
+        let mut by_instruction = masks(6);
+        for s in &mut by_instruction {
+            faults_mut(s)[0].at = InjectTime::Instruction(10);
+        }
+        let all_dead: Vec<InjectionSpec> = masks(9)
+            .into_iter()
+            .filter(|s| !(3..6).contains(&s.id))
+            .collect();
+        for profiled in [false, true] {
+            let checkpointed = Strategy::Checkpointed { checkpoints: 8 };
+            assert!(requests(&by_instruction, checkpointed, 2, profiled).is_empty());
+            let collapsed = Strategy::Collapsed {
+                profile: &profile,
+                checkpoints: 8,
+            };
+            assert!(requests(&all_dead, collapsed, 2, profiled).is_empty());
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use difi_uarch::residency::ResidencyLog;
 use difi_uarch::ProfileCounters;
 use std::sync::Arc;
 
-/// An opaque handle on golden-run state, captured at one checkpoint.
+/// An opaque handle on golden-run state, captured at one cycle.
 ///
 /// Captured by [`InjectorDispatcher::golden_snapshots`] and consumed by
 /// [`InjectorDispatcher::run_from`], which downcasts `state` back to the
@@ -26,13 +26,14 @@ use std::sync::Arc;
 /// snapshot runs cold. [`crate::substrate::SimDispatcher`]'s snapshots of
 /// one capture share one pool of golden cores, which every warm run
 /// changes: it takes a core out, advances it to the run's injection cycle
-/// and puts a copy of the advanced core back. The campaign controller only
-/// reads `cycle` — to pick, per mask, the latest snapshot at or before the
-/// injection cycle — and shares the set across worker threads; the pool's
-/// lock makes concurrent forks safe, and no fork changes a result.
+/// and puts a copy of the advanced core back. The campaign controller
+/// captures one snapshot per pooled core, all at cycle 0, hands any of
+/// them to every cycle-scheduled run and shares the set across worker
+/// threads; the pool's lock makes concurrent forks safe, and no fork
+/// changes a result.
 pub struct GoldenSnapshot {
-    /// Checkpoint cycle at which the golden run was captured (the
-    /// cold-run state at the *top* of this cycle, before any of its work).
+    /// Cycle at which the golden run was captured (the cold-run state at
+    /// the *top* of this cycle, before any of its work).
     pub cycle: u64,
     /// Dispatcher-private simulator state.
     pub state: Box<dyn std::any::Any + Send + Sync>,
@@ -90,7 +91,8 @@ pub trait InjectorDispatcher: Sync {
     /// set may be shorter than requested. The snapshots may share state
     /// (`SimDispatcher`'s share one pool of the captured cores), so the set
     /// costs at most one simulator state per snapshot however many runs
-    /// fork from it.
+    /// fork from it. The campaign controller asks for one snapshot per
+    /// worker, at most K, all at cycle 0.
     ///
     /// The default returns `None` — a dispatcher without checkpoint support
     /// simply opts out, and the campaign controller falls back to cold

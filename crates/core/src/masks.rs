@@ -348,8 +348,8 @@ impl MaskGenerator {
     /// statistically unbiased while the full sequence is reproducible from
     /// the seed).
     ///
-    /// Affordability comes from the warm-start engine: dense same-window
-    /// masks share checkpoints, which the sweep bench group measures.
+    /// Affordability comes from the warm-start engine: the runs of one
+    /// window fork the golden run a few cycles apart.
     pub fn exhaustive_sweep(
         &mut self,
         desc: &StructureDesc,

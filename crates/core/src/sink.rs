@@ -419,15 +419,11 @@ struct ProgressState {
 }
 
 /// Live campaign telemetry on stderr: runs completed, mean per-run wall
-/// time, coarse outcome tallies so far, and the ETA for the remainder.
+/// time, throughput (runs/s and simulated Mcyc/s), coarse outcome tallies
+/// so far, and the ETA for the remainder.
 ///
-/// With [`ProgressSink::with_metrics`] the sink additionally *publishes*
-/// campaign throughput as shared gauges —
-/// `campaign.throughput.runs_per_s_permille` and
-/// `campaign.throughput.mcycles_per_s_permille` — and derives the printed
-/// ETA from the published runs/s gauge and the remaining mask count, so
-/// every registry consumer sees exactly the rate the progress line reports.
-/// Phase wall times are still read back from the runner's gauges.
+/// With [`ProgressSink::with_metrics`] the sink also reads the runner's
+/// phase wall-time gauges for its preamble and final summary line.
 pub struct ProgressSink {
     every: usize,
     metrics: Option<Arc<MetricsRegistry>>,
@@ -479,10 +475,8 @@ impl ProgressSink {
         }
     }
 
-    /// Attaches `registry`: the sink publishes its throughput gauges there
-    /// (and derives the printed ETA from the published runs/s gauge) and
-    /// reads the runner's phase-timing gauges back for the preamble and the
-    /// final summary line.
+    /// Attaches `registry`: the sink reads the runner's phase-timing gauges
+    /// from it for the preamble and the final summary line.
     #[must_use]
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> ProgressSink {
         self.metrics = Some(registry);
@@ -531,44 +525,22 @@ impl RunSink for ProgressSink {
         let elapsed = s.started.elapsed().as_secs_f64();
         let per_run = elapsed / s.done as f64;
         let remaining = s.total.saturating_sub(s.done);
+        let runs_per_s = s.done as f64 / elapsed.max(1e-9);
+        let mcyc_per_s = s.sim_cycles as f64 / 1e6 / elapsed.max(1e-9);
         let tallies: Vec<String> = STATUS_TAGS
             .iter()
             .zip(s.tallies.iter())
             .filter(|(_, &n)| n > 0)
             .map(|(tag, n)| format!("{tag}:{n}"))
             .collect();
-        // With a registry attached, throughput is published as shared
-        // gauges and the ETA derives from the published runs/s value — the
-        // same number every other registry consumer reads.
-        let mut eta = per_run * remaining as f64;
-        let mut throughput = String::new();
-        if let Some(m) = &self.metrics {
-            let runs_per_s = s.done as f64 / elapsed.max(1e-9);
-            let mcyc_per_s = s.sim_cycles as f64 / 1e6 / elapsed.max(1e-9);
-            m.gauge("campaign.throughput.runs_per_s_permille")
-                .set((runs_per_s * 1e3) as u64);
-            m.gauge("campaign.throughput.mcycles_per_s_permille")
-                .set((mcyc_per_s * 1e3) as u64);
-            let rate = m
-                .value("campaign.throughput.runs_per_s_permille")
-                .unwrap_or(0) as f64
-                / 1e3;
-            let mrate = m
-                .value("campaign.throughput.mcycles_per_s_permille")
-                .unwrap_or(0) as f64
-                / 1e3;
-            if rate > 0.0 {
-                eta = remaining as f64 / rate;
-            }
-            throughput = format!(" | {rate:.1} runs/s, {mrate:.1} Mcyc/s");
-        }
         eprintln!(
-            "[campaign] {}/{} ({:.1}%) | {:.1} ms/run | eta {eta:.1}s{} | {}",
+            "[campaign] {}/{} ({:.1}%) | {:.1} ms/run | eta {:.1}s | {runs_per_s:.1} runs/s, \
+             {mcyc_per_s:.1} Mcyc/s | {}",
             s.done,
             s.total,
             100.0 * s.done as f64 / s.total.max(1) as f64,
             1e3 * per_run,
-            throughput,
+            per_run * remaining as f64,
             tallies.join(" ")
         );
     }
@@ -811,24 +783,6 @@ mod tests {
         let rob = reg.histogram("profile.occ.rob");
         assert_eq!(rob.count(), 2, "one occupancy sample per profiled run");
         assert_eq!(rob.sum(), 20, "mean ROB occupancy 10 on both runs");
-    }
-
-    #[test]
-    fn progress_sink_publishes_throughput_gauges() {
-        let reg = Arc::new(MetricsRegistry::new());
-        let sink = ProgressSink::new().with_metrics(Arc::clone(&reg));
-        sink.on_start(&header(2));
-        for i in 0..2 {
-            sink.on_run(i, &run(i as u64));
-        }
-        sink.on_end();
-        let runs_permille = reg
-            .value("campaign.throughput.runs_per_s_permille")
-            .expect("gauge published");
-        assert!(runs_permille > 0, "2 runs in near-zero wall time");
-        assert!(reg
-            .value("campaign.throughput.mcycles_per_s_permille")
-            .is_some());
     }
 
     #[test]

@@ -479,6 +479,15 @@ fn l1i_fault_asserts_on_mars_crashes_on_gem() {
     // they are resident; MarsSim must assert at decode, GemSim must raise an
     // illegal-instruction process crash at commit (Remark 8).
     let prog = simple_sum_program(Isa::X86e);
+    // A ceiling of its own: some corrupted programs loop until the ceiling,
+    // and under the shared 5M-cycle `limits()` those runs took most of this
+    // file's run time. Every assert and crash counted here fires by cycle
+    // 209, and the golden runs end at cycle 507 (MarsSim) and 310 (GemSim),
+    // so 20k cycles leaves every count unchanged.
+    let ceiling = EngineLimits {
+        max_cycles: 20_000,
+        ..limits()
+    };
 
     // The hot loop's bytes live in L1I line 0 (code base 0x10000 maps to
     // set 0, first way); target bits inside the loop body so the corrupted
@@ -498,11 +507,11 @@ fn l1i_fault_asserts_on_mars_crashes_on_gem() {
                 duration_cycles: None,
             };
             let mut mars = OoOCore::new(mars_cfg(), &prog);
-            if let SimExit::SimAssert(_) = mars.run(&[f], &limits()).exit {
+            if let SimExit::SimAssert(_) = mars.run(&[f], &ceiling).exit {
                 mars_asserts += 1
             }
             let mut gem = OoOCore::new(gem_cfg(), &prog);
-            match gem.run(&[f], &limits()).exit {
+            match gem.run(&[f], &ceiling).exit {
                 SimExit::ProcessCrash(_) => gem_crashes += 1,
                 SimExit::SimAssert(_) => gem_asserts += 1,
                 _ => {}
