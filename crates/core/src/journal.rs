@@ -8,10 +8,15 @@
 //! (tolerating a torn tail via [`difi_util::jsonl`]);
 //! [`CampaignRunner::resume`](crate::campaign::CampaignRunner::resume)
 //! skips the reloaded runs and dispatches only the remainder.
+//!
+//! Lines are written by streaming encoders: [`CampaignHeader`] is a
+//! [`WriteJson`] value and [`run_line`] appends a run line, both straight
+//! into the sink's reused line buffer. Lines are read back through a
+//! parsed [`Json`] tree ([`CampaignHeader::from_json`], [`parse_run_line`]).
 
 use crate::logs::RunLog;
 use crate::model::{ClassProvenance, InjectionSpec, RawRunResult};
-use difi_util::json::Json;
+use difi_util::json::{Json, Obj, WriteJson};
 use difi_util::{jsonl, Error, Result};
 use std::path::Path;
 
@@ -33,19 +38,21 @@ pub struct CampaignHeader {
     pub masks: u64,
 }
 
-impl CampaignHeader {
+impl WriteJson for CampaignHeader {
     /// JSON form of the journal header line.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("injector", Json::Str(self.injector.clone())),
-            ("benchmark", Json::Str(self.benchmark.clone())),
-            ("structure", Json::Str(self.structure.clone())),
-            ("seed", Json::U64(self.seed)),
-            ("masks", Json::U64(self.masks)),
-            ("golden", self.golden.to_json()),
-        ])
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("injector", self.injector.as_str())
+            .field("benchmark", self.benchmark.as_str())
+            .field("structure", self.structure.as_str())
+            .field("seed", &self.seed)
+            .field("masks", &self.masks)
+            .field("golden", &self.golden)
+            .end();
     }
+}
 
+impl CampaignHeader {
     /// Parses the journal header line.
     ///
     /// # Errors
@@ -75,20 +82,20 @@ impl CampaignHeader {
     }
 }
 
-/// Builds the journal line for one completed run: its index in the masks
-/// repository plus the [`RunLog`] fields. Collapsed-campaign runs
-/// carry their equivalence-class provenance as a `"collapse"` object, so a
-/// journal is auditable (and resumable) without recomputing the partition.
-pub fn run_line(index: usize, log: &RunLog) -> Json {
-    let mut fields = vec![
-        ("index", Json::U64(index as u64)),
-        ("spec", log.spec.to_json()),
-        ("result", log.result.to_json()),
-    ];
+/// Appends the journal line for one completed run to `out`, without its
+/// newline: its index in the masks repository plus the [`RunLog`] fields.
+/// Collapsed-campaign runs carry their equivalence-class provenance as a
+/// `"collapse"` object, so a journal is auditable (and resumable) without
+/// recomputing the partition.
+pub fn run_line(out: &mut String, index: usize, log: &RunLog) {
+    let mut line = Obj::open(out)
+        .field("index", &index)
+        .field("spec", &log.spec)
+        .field("result", &log.result);
     if let Some(p) = &log.provenance {
-        fields.push(("collapse", p.to_json()));
+        line = line.field("collapse", p);
     }
-    Json::obj(fields)
+    line.end();
 }
 
 /// Parses one journal run line back into `(index, RunLog)`.
@@ -131,33 +138,35 @@ pub struct JournalContents {
 }
 
 /// Loads a campaign journal, the one reader of the on-disk layout. A torn
-/// tail line is dropped and reported in
-/// [`JournalContents::dropped_tail`]; damage anywhere before the tail is a
-/// hard error: silent mid-file data loss must never be papered over. The
-/// runs come back in append order, which is completion order, and are not
+/// tail line (unterminated and unparsable) is dropped and reported in
+/// [`JournalContents::dropped_tail`]; any other damage is a hard error that
+/// names its line: silent data loss must never be papered over. The runs
+/// come back in append order, which is completion order, and are not
 /// checked against the header's mask count.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Io`] on read failure and [`Error::Parse`] for mid-file
-/// corruption.
+/// Returns [`Error::Io`] on read failure and [`Error::Parse`], naming the
+/// line, for a line that does not parse or does not decode.
 pub fn load_journal(path: &Path) -> Result<JournalContents> {
     let loaded = jsonl::load_tolerant(path)?;
     let dropped_tail = loaded
         .dropped
         .map(|d| format!("journal line {}: {}", d.line_no, d.reason));
+    let bad = |what: &str, line_no: usize, e: Error| {
+        Error::Parse(format!(
+            "bad journal {what} in {}, line {line_no}: {e}",
+            path.display()
+        ))
+    };
     let mut lines = loaded.lines.into_iter();
-    let header =
-        match lines.next() {
-            None => None,
-            Some(h) => Some(CampaignHeader::from_json(&h).map_err(|e| {
-                Error::Parse(format!("bad journal header in {}: {e}", path.display()))
-            })?),
-        };
+    let header = match lines.next() {
+        None => None,
+        Some((n, h)) => Some(CampaignHeader::from_json(&h).map_err(|e| bad("header", n, e))?),
+    };
     let runs = lines
-        .map(|l| parse_run_line(&l))
-        .collect::<Result<Vec<_>>>()
-        .map_err(|e| Error::Parse(format!("bad journal run line in {}: {e}", path.display())))?;
+        .map(|(n, l)| parse_run_line(&l).map_err(|e| bad("run", n, e)))
+        .collect::<Result<Vec<_>>>()?;
     Ok(JournalContents {
         header,
         runs,

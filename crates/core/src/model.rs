@@ -10,10 +10,12 @@
 //!
 //! Everything here serializes to/from the line-oriented JSON of the logs
 //! repository through `difi_util::json` — hand-rolled because the build
-//! environment pins the workspace to the standard library.
+//! environment pins the workspace to the standard library. Records write
+//! themselves as [`WriteJson`] values, straight into the caller's line
+//! buffer, and decode from a parsed [`Json`] tree with `from_json`.
 
 use difi_uarch::fault::{FaultKind, StructureId};
-use difi_util::json::Json;
+use difi_util::json::{Json, Obj, WriteJson};
 use difi_util::{Error, Result};
 
 /// When a fault is injected.
@@ -25,14 +27,17 @@ pub enum InjectTime {
     Instruction(u64),
 }
 
-impl InjectTime {
-    fn to_json(self) -> Json {
-        match self {
-            InjectTime::Cycle(c) => Json::obj(vec![("Cycle", Json::U64(c))]),
-            InjectTime::Instruction(n) => Json::obj(vec![("Instruction", Json::U64(n))]),
-        }
+impl WriteJson for InjectTime {
+    fn write_json(&self, out: &mut String) {
+        let (key, v) = match self {
+            InjectTime::Cycle(c) => ("Cycle", c),
+            InjectTime::Instruction(n) => ("Instruction", n),
+        };
+        Obj::open(out).field(key, v).end();
     }
+}
 
+impl InjectTime {
     fn from_json(j: &Json) -> Result<InjectTime> {
         if let Some(c) = j.get("Cycle").and_then(Json::as_u64) {
             Ok(InjectTime::Cycle(c))
@@ -58,18 +63,19 @@ pub enum FaultDuration {
     Permanent,
 }
 
-impl FaultDuration {
-    fn to_json(self) -> Json {
+impl WriteJson for FaultDuration {
+    fn write_json(&self, out: &mut String) {
         match self {
-            FaultDuration::Transient => Json::Str("Transient".into()),
-            FaultDuration::Intermittent { cycles } => Json::obj(vec![(
-                "Intermittent",
-                Json::obj(vec![("cycles", Json::U64(cycles))]),
-            )]),
-            FaultDuration::Permanent => Json::Str("Permanent".into()),
+            FaultDuration::Transient => "Transient".write_json(out),
+            FaultDuration::Intermittent { cycles } => Obj::open(out)
+                .object("Intermittent", |o| o.field("cycles", cycles))
+                .end(),
+            FaultDuration::Permanent => "Permanent".write_json(out),
         }
     }
+}
 
+impl FaultDuration {
     fn from_json(j: &Json) -> Result<FaultDuration> {
         match j.as_str() {
             Some("Transient") => return Ok(FaultDuration::Transient),
@@ -109,20 +115,22 @@ pub struct FaultRecord {
     pub duration: FaultDuration,
 }
 
-impl FaultRecord {
+impl WriteJson for FaultRecord {
     /// JSON form used by the mask repository.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("core", Json::U64(u64::from(self.core))),
-            ("structure", Json::Str(self.structure.name().into())),
-            ("entry", Json::U64(self.entry)),
-            ("bit", Json::U64(u64::from(self.bit))),
-            ("kind", Json::Str(self.kind.name().into())),
-            ("at", self.at.to_json()),
-            ("duration", self.duration.to_json()),
-        ])
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("core", &self.core)
+            .field("structure", self.structure.name())
+            .field("entry", &self.entry)
+            .field("bit", &self.bit)
+            .field("kind", self.kind.name())
+            .field("at", &self.at)
+            .field("duration", &self.duration)
+            .end();
     }
+}
 
+impl FaultRecord {
     /// Parses the repository JSON form.
     ///
     /// # Errors
@@ -271,29 +279,6 @@ impl ScenarioKind {
         }
     }
 
-    fn to_json(&self) -> Json {
-        let with_at = |kind: &'static str, at: InjectTime, key: &'static str, v: u64| {
-            Json::obj(vec![
-                ("kind", Json::Str(kind.into())),
-                ("at", at.to_json()),
-                (key, Json::U64(v)),
-            ])
-        };
-        match *self {
-            // BitFlips is serialized by the spec itself (legacy layout).
-            ScenarioKind::BitFlips { ref faults } => {
-                Json::Arr(faults.iter().map(FaultRecord::to_json).collect())
-            }
-            ScenarioKind::InstructionSkip { at, count } => {
-                with_at("instruction_skip", at, "count", count)
-            }
-            ScenarioKind::OpcodeCorrupt { at, xor } => with_at("opcode_corrupt", at, "xor", xor),
-            ScenarioKind::BranchInvert { at, count } => {
-                with_at("branch_invert", at, "count", count)
-            }
-        }
-    }
-
     fn from_json(j: &Json) -> Result<ScenarioKind> {
         let kind = j
             .req("kind")?
@@ -320,6 +305,24 @@ impl ScenarioKind {
             }),
             other => Err(Error::Parse(format!("unknown scenario kind {other}"))),
         }
+    }
+}
+
+impl WriteJson for ScenarioKind {
+    /// A bit-flip scenario writes its bare fault array (the spec's legacy
+    /// `"faults"` value); an attack writes `{"kind":…,"at":…,<param>:…}`.
+    fn write_json(&self, out: &mut String) {
+        let (at, key, v) = match self {
+            ScenarioKind::BitFlips { faults } => return faults.write_json(out),
+            ScenarioKind::InstructionSkip { at, count }
+            | ScenarioKind::BranchInvert { at, count } => (at, "count", count),
+            ScenarioKind::OpcodeCorrupt { at, xor } => (at, "xor", xor),
+        };
+        Obj::open(out)
+            .field("kind", self.name())
+            .field("at", at)
+            .field(key, v)
+            .end();
     }
 }
 
@@ -407,23 +410,6 @@ impl InjectionSpec {
         earliest
     }
 
-    /// JSON form used by the mask repository. Bit-flip masks keep the
-    /// original `{"id":…,"faults":[…]}` layout byte-for-byte, so every
-    /// pre-scenario journal, log, and fixture round-trips unchanged; attack
-    /// scenarios serialize as `{"id":…,"scenario":{…}}`.
-    pub fn to_json(&self) -> Json {
-        match &self.scenario {
-            ScenarioKind::BitFlips { .. } => Json::obj(vec![
-                ("id", Json::U64(self.id)),
-                ("faults", self.scenario.to_json()),
-            ]),
-            _ => Json::obj(vec![
-                ("id", Json::U64(self.id)),
-                ("scenario", self.scenario.to_json()),
-            ]),
-        }
-    }
-
     /// Parses the repository JSON form (both the legacy `"faults"` layout
     /// and the scenario layout).
     ///
@@ -449,6 +435,23 @@ impl InjectionSpec {
             .map(FaultRecord::from_json)
             .collect::<Result<Vec<_>>>()?;
         Ok(InjectionSpec::bit_flips(id, faults))
+    }
+}
+
+impl WriteJson for InjectionSpec {
+    /// JSON form used by the mask repository. Bit-flip masks keep the
+    /// original `{"id":…,"faults":[…]}` layout byte-for-byte, so every
+    /// pre-scenario journal, log, and fixture round-trips unchanged; attack
+    /// scenarios serialize as `{"id":…,"scenario":{…}}`.
+    fn write_json(&self, out: &mut String) {
+        let key = match self.scenario {
+            ScenarioKind::BitFlips { .. } => "faults",
+            _ => "scenario",
+        };
+        Obj::open(out)
+            .field("id", &self.id)
+            .field(key, &self.scenario)
+            .end();
     }
 }
 
@@ -511,29 +514,27 @@ pub enum RunStatus {
     EarlyStopMasked(EarlyStop),
 }
 
-impl RunStatus {
+impl WriteJson for RunStatus {
     /// JSON form used by the logs repository.
-    pub fn to_json(&self) -> Json {
-        match self {
-            RunStatus::Completed { exit_code } => Json::obj(vec![(
-                "Completed",
-                Json::obj(vec![("exit_code", Json::U64(*exit_code))]),
-            )]),
-            RunStatus::Timeout => Json::Str("Timeout".into()),
-            RunStatus::ProcessCrash(m) => Json::obj(vec![("ProcessCrash", Json::Str(m.clone()))]),
-            RunStatus::SystemCrash(m) => Json::obj(vec![("SystemCrash", Json::Str(m.clone()))]),
-            RunStatus::SimulatorAssert(m) => {
-                Json::obj(vec![("SimulatorAssert", Json::Str(m.clone()))])
+    fn write_json(&self, out: &mut String) {
+        let (key, text) = match self {
+            RunStatus::Completed { exit_code } => {
+                return Obj::open(out)
+                    .object("Completed", |o| o.field("exit_code", exit_code))
+                    .end()
             }
-            RunStatus::SimulatorCrash(m) => {
-                Json::obj(vec![("SimulatorCrash", Json::Str(m.clone()))])
-            }
-            RunStatus::EarlyStopMasked(e) => {
-                Json::obj(vec![("EarlyStopMasked", Json::Str(e.name().into()))])
-            }
-        }
+            RunStatus::Timeout => return "Timeout".write_json(out),
+            RunStatus::ProcessCrash(m) => ("ProcessCrash", m.as_str()),
+            RunStatus::SystemCrash(m) => ("SystemCrash", m.as_str()),
+            RunStatus::SimulatorAssert(m) => ("SimulatorAssert", m.as_str()),
+            RunStatus::SimulatorCrash(m) => ("SimulatorCrash", m.as_str()),
+            RunStatus::EarlyStopMasked(e) => ("EarlyStopMasked", e.name()),
+        };
+        Obj::open(out).field(key, text).end();
     }
+}
 
+impl RunStatus {
     /// Parses the logs-repository JSON form.
     ///
     /// # Errors
@@ -668,17 +669,19 @@ pub struct ClassProvenance {
     pub members: u64,
 }
 
-impl ClassProvenance {
+impl WriteJson for ClassProvenance {
     /// JSON form used by the logs repository and the campaign journal.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("class_id", Json::U64(self.class_id)),
-            ("representative", Json::U64(self.representative)),
-            ("proof", Json::Str(self.proof.name().into())),
-            ("members", Json::U64(self.members)),
-        ])
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("class_id", &self.class_id)
+            .field("representative", &self.representative)
+            .field("proof", self.proof.name())
+            .field("members", &self.members)
+            .end();
     }
+}
 
+impl ClassProvenance {
     /// Parses the repository JSON form.
     ///
     /// # Errors
@@ -759,27 +762,6 @@ impl RawRunResult {
             .expect("run executed on a simulator and measured cycles")
     }
 
-    /// JSON form used by the logs repository.
-    pub fn to_json(&self) -> Json {
-        let opt = |v: Option<u64>| v.map_or(Json::Null, Json::U64);
-        Json::obj(vec![
-            ("status", self.status.to_json()),
-            (
-                "output",
-                Json::Arr(
-                    self.output
-                        .iter()
-                        .map(|b| Json::U64(u64::from(*b)))
-                        .collect(),
-                ),
-            ),
-            ("exceptions", opt(self.exceptions)),
-            ("cycles", opt(self.cycles)),
-            ("instructions", opt(self.instructions)),
-            ("fault_consumed", Json::Bool(self.fault_consumed)),
-        ])
-    }
-
     /// Parses the logs-repository JSON form.
     ///
     /// # Errors
@@ -821,6 +803,21 @@ impl RawRunResult {
     }
 }
 
+impl WriteJson for RawRunResult {
+    /// JSON form used by the logs repository: the output as an array of
+    /// byte values, an unmeasured field as `null`.
+    fn write_json(&self, out: &mut String) {
+        Obj::open(out)
+            .field("status", &self.status)
+            .field("output", self.output.as_slice())
+            .field("exceptions", &self.exceptions)
+            .field("cycles", &self.cycles)
+            .field("instructions", &self.instructions)
+            .field("fault_consumed", &self.fault_consumed)
+            .end();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -840,7 +837,7 @@ mod tests {
     #[test]
     fn spec_json_roundtrip() {
         let s = InjectionSpec::single_transient(1, StructureId::IntRegFile, 3, 63, 9);
-        let j = s.to_json().to_string();
+        let j = s.to_json_string();
         assert!(j.contains("int_prf"));
         let back = InjectionSpec::from_json(&difi_util::json::parse(&j).unwrap()).unwrap();
         assert_eq!(back, s);
@@ -852,7 +849,7 @@ mod tests {
         // as before the scenario layer existed, so old journals and logs
         // round-trip unchanged.
         let s = InjectionSpec::single_transient(1, StructureId::IntRegFile, 3, 63, 9);
-        let j = s.to_json().to_string();
+        let j = s.to_json_string();
         assert!(j.starts_with("{\"id\":1,\"faults\":["), "{j}");
         assert!(!j.contains("scenario"), "{j}");
     }
@@ -878,7 +875,7 @@ mod tests {
                 id: i as u64,
                 scenario: sc,
             };
-            let j = s.to_json().to_string();
+            let j = s.to_json_string();
             assert!(j.contains("\"scenario\""), "{j}");
             assert!(j.contains(s.scenario.name()), "{j}");
             let back = InjectionSpec::from_json(&difi_util::json::parse(&j).unwrap()).unwrap();
@@ -941,7 +938,7 @@ mod tests {
             instructions: Some(120),
             fault_consumed: true,
         };
-        let j = r.to_json().to_string();
+        let j = r.to_json_string();
         let back = RawRunResult::from_json(&difi_util::json::parse(&j).unwrap()).unwrap();
         assert_eq!(back, r);
     }
@@ -950,7 +947,7 @@ mod tests {
     fn unexecuted_result_json_roundtrip_keeps_measurements_absent() {
         let r = RawRunResult::unexecuted(RunStatus::EarlyStopMasked(EarlyStop::StaticallyPruned));
         assert!(!r.is_measured());
-        let j = r.to_json().to_string();
+        let j = r.to_json_string();
         assert!(j.contains("\"cycles\":null"), "no fabricated zero: {j}");
         let back = RawRunResult::from_json(&difi_util::json::parse(&j).unwrap()).unwrap();
         assert_eq!(back, r);
@@ -967,7 +964,7 @@ mod tests {
             assert_eq!(EarlyStop::from_name(e.name()).unwrap(), e);
         }
         let r = RunStatus::EarlyStopMasked(EarlyStop::StaticallyPruned);
-        let j = r.to_json().to_string();
+        let j = r.to_json_string();
         let back = RunStatus::from_json(&difi_util::json::parse(&j).unwrap()).unwrap();
         assert_eq!(back, r);
     }
@@ -992,7 +989,7 @@ mod tests {
             proof: ProofKind::LatchInterval,
             members: 17,
         };
-        let j = p.to_json().to_string();
+        let j = p.to_json_string();
         let back = ClassProvenance::from_json(&difi_util::json::parse(&j).unwrap()).unwrap();
         assert_eq!(back, p);
     }

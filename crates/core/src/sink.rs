@@ -12,14 +12,19 @@
 //! Sinks are called directly from worker threads; each synchronizes
 //! internally (a single lock per sink — the per-run simulation dwarfs any
 //! contention on it).
+//!
+//! The two file sinks write through one line writer per file. It owns one
+//! line buffer, reused for every line: the record's streaming encoder
+//! appends the line's text to it, and the line goes out with its newline
+//! in one write, flushed before the call returns.
 
 use crate::journal::{run_line, CampaignHeader};
 use crate::logs::RunLog;
 use difi_obs::metrics::MetricsRegistry;
 use difi_obs::trace::FaultTrace;
 use difi_uarch::ProfileCounters;
-use difi_util::json::Json;
-use difi_util::{jsonl, Error, Result};
+use difi_util::json::{Obj, WriteJson};
+use difi_util::{Error, Result};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -109,6 +114,9 @@ struct LineWriter(Mutex<LineOut>);
 
 struct LineOut {
     w: BufWriter<std::fs::File>,
+    /// The line being written, kept between lines so its allocation is
+    /// reused.
+    line: String,
     /// True while the file holds no line.
     empty: bool,
     error: Option<Error>,
@@ -139,24 +147,33 @@ impl LineWriter {
         }
         Ok(LineWriter(Mutex::new(LineOut {
             w,
+            line: String::new(),
             empty,
             error: None,
         })))
     }
 
-    /// Writes and flushes one line — with `only_if_empty`, only into a file
-    /// that holds no line yet. Flushing per line means a crash tears at most
-    /// the line in flight, which the tolerant loader drops.
-    fn write(&self, line: &Json, only_if_empty: bool) {
-        let mut out = self.0.lock().expect("line writer lock");
+    /// Writes and flushes one line, whose text `encode` appends to the
+    /// emptied line buffer — with `only_if_empty`, only into a file that
+    /// holds no line yet. The newline goes out last, in the same write, and
+    /// flushing per line means a crash tears at most the line in flight,
+    /// which the tolerant loader drops.
+    fn write(&self, only_if_empty: bool, encode: impl FnOnce(&mut String)) {
+        let mut guard = self.0.lock().expect("line writer lock");
+        let out = &mut *guard;
         if only_if_empty && !out.empty {
             return;
         }
         out.empty = false;
-        let r =
-            jsonl::write_line(&mut out.w, line).and_then(|()| out.w.flush().map_err(Error::from));
+        out.line.clear();
+        encode(&mut out.line);
+        out.line.push('\n');
+        let r = out
+            .w
+            .write_all(out.line.as_bytes())
+            .and_then(|()| out.w.flush());
         if let Err(e) = r {
-            out.error.get_or_insert(e);
+            out.error.get_or_insert(Error::from(e));
         }
     }
 
@@ -216,11 +233,11 @@ impl JournalSink {
 impl RunSink for JournalSink {
     fn on_start(&self, header: &CampaignHeader) {
         // On resume the header is already on disk.
-        self.0.write(&header.to_json(), true);
+        self.0.write(true, |line| header.write_json(line));
     }
 
     fn on_run(&self, index: usize, log: &RunLog) {
-        self.0.write(&run_line(index, log), false);
+        self.0.write(false, |line| run_line(line, index, log));
     }
 
     fn on_end(&self) {
@@ -259,11 +276,13 @@ impl RunSink for TraceSink {
     fn on_run(&self, _index: usize, _log: &RunLog) {}
 
     fn on_trace(&self, index: usize, trace: &FaultTrace) {
-        let line = Json::obj(vec![
-            ("index", Json::U64(index as u64)),
-            ("trace", trace.to_json()),
-        ]);
-        self.0.write(&line, false);
+        let trace = trace.to_json();
+        self.0.write(false, |line| {
+            Obj::open(line)
+                .field("index", &index)
+                .field("trace", &trace)
+                .end();
+        });
     }
 
     fn on_end(&self) {
@@ -576,6 +595,7 @@ mod tests {
     use super::*;
     use crate::model::{InjectionSpec, RawRunResult, RunStatus};
     use difi_uarch::fault::StructureId;
+    use difi_util::json::Json;
 
     fn header(n: u64) -> CampaignHeader {
         CampaignHeader {

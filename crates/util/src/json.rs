@@ -7,6 +7,14 @@
 //! objects, arrays, strings, integers, floats, booleans and null — is
 //! implemented here. Integers are kept in native 64-bit form (not `f64`)
 //! because mask identifiers and cycle counts use the full `u64` range.
+//!
+//! Reading goes through a tree: [`parse`] builds a [`Json`] value that the
+//! records decode from. Writing streams: a [`WriteJson`] value appends its
+//! compact text straight to a caller's buffer, objects through [`Obj`]
+//! with `&'static str` keys, so a journal line costs no tree, no `String`
+//! per key or integer, and no buffer but the one the caller reuses. A
+//! [`Json`] tree writes through the same escaper and integer writer, so
+//! both paths render a value to the same bytes.
 
 use crate::{Error, Result};
 
@@ -106,14 +114,20 @@ impl Json {
         self.get(key)
             .ok_or_else(|| Error::Parse(format!("missing field '{key}'")))
     }
+}
 
-    fn write(&self, out: &mut String) {
+impl WriteJson for Json {
+    fn write_json(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::U64(v) => out.push_str(&v.to_string()),
-            Json::I64(v) => out.push_str(&v.to_string()),
+            Json::Bool(b) => b.write_json(out),
+            Json::U64(v) => write_u64(out, *v),
+            Json::I64(v) => {
+                if *v < 0 {
+                    out.push('-');
+                }
+                write_u64(out, v.unsigned_abs());
+            }
             Json::F64(v) => {
                 if v.is_finite() {
                     // Keep a decimal point / exponent so the value reparses
@@ -127,26 +141,17 @@ impl Json {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => write_escaped(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, it) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    it.write(out);
-                }
-                out.push(']');
-            }
+            Json::Str(s) => s.write_json(out),
+            Json::Arr(items) => items.write_json(out),
             Json::Obj(pairs) => {
                 out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    k.write_json(out);
                     out.push(':');
-                    v.write(out);
+                    v.write_json(out);
                 }
                 out.push('}');
             }
@@ -157,28 +162,175 @@ impl Json {
 impl std::fmt::Display for Json {
     /// Compact (single-line) JSON serialization.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+        f.write_str(&self.to_json_string())
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// A value that appends its compact JSON text to a buffer, without
+/// building a [`Json`] tree.
+pub trait WriteJson {
+    /// Appends the compact JSON text of `self` to `out`.
+    fn write_json(&self, out: &mut String);
+
+    /// The compact JSON text of `self` in a fresh `String`.
+    fn to_json_string(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+}
+
+impl WriteJson for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
+
+macro_rules! write_unsigned {
+    ($($t:ty),*) => {$(
+        impl WriteJson for $t {
+            fn write_json(&self, out: &mut String) {
+                // Lossless: no supported target has a `usize` wider than 64 bits.
+                write_u64(out, *self as u64);
             }
-            c => out.push(c),
+        }
+    )*};
+}
+
+write_unsigned!(u8, u32, u64, usize);
+
+impl WriteJson for str {
+    /// A quoted string. `"` and `\` are escaped, as are the control
+    /// characters below U+0020 (`\n`, `\r`, `\t` by name, the rest as
+    /// `\u00xx`); everything else, non-ASCII included, is written as is.
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        let mut plain = 0;
+        // Every byte that needs escaping is ASCII, and no byte of a
+        // multi-byte UTF-8 sequence is, so each split is a char boundary.
+        for (i, b) in self.bytes().enumerate() {
+            let named = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            out.push_str(&self[plain..i]);
+            if named.is_empty() {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            } else {
+                out.push_str(named);
+            }
+            plain = i + 1;
+        }
+        out.push_str(&self[plain..]);
+        out.push('"');
+    }
+}
+
+impl<T: WriteJson> WriteJson for Option<T> {
+    /// The value, or `null` when absent.
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
         }
     }
-    out.push('"');
+}
+
+impl<T: WriteJson> WriteJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+/// Appends the decimal digits of `v`.
+fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
+/// A JSON object being appended to a buffer: `{` when opened, one
+/// `"key":value` member per [`Obj::field`] or [`Obj::object`] call, in call
+/// order, and `}` on [`Obj::end`].
+///
+/// ```
+/// use difi_util::json::Obj;
+/// let mut line = String::new();
+/// Obj::open(&mut line)
+///     .field("id", &7u64)
+///     .object("at", |at| at.field("Cycle", &12u64))
+///     .field("tag", "a\"b")
+///     .end();
+/// assert_eq!(line, r#"{"id":7,"at":{"Cycle":12},"tag":"a\"b"}"#);
+/// ```
+#[must_use = "an object is not closed until `end`"]
+pub struct Obj<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> Obj<'a> {
+    /// Opens an object at the end of `out`.
+    pub fn open(out: &'a mut String) -> Obj<'a> {
+        out.push('{');
+        Obj { out, empty: true }
+    }
+
+    /// Appends the member `key: value`.
+    pub fn field<T: WriteJson + ?Sized>(mut self, key: &'static str, value: &T) -> Obj<'a> {
+        self.key(key);
+        value.write_json(self.out);
+        self
+    }
+
+    /// Appends the member `key: {…}`, an object whose members `members`
+    /// writes.
+    pub fn object(
+        mut self,
+        key: &'static str,
+        members: impl FnOnce(Obj<'_>) -> Obj<'_>,
+    ) -> Obj<'a> {
+        self.key(key);
+        members(Obj::open(self.out)).end();
+        self
+    }
+
+    /// Closes the object.
+    pub fn end(self) {
+        self.out.push('}');
+    }
+
+    fn key(&mut self, key: &'static str) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        key.write_json(self.out);
+        self.out.push(':');
+    }
 }
 
 /// Deepest array/object nesting [`parse`] accepts. The parser recurses once
@@ -549,6 +701,92 @@ mod tests {
             let v = Json::Str(s.into());
             assert_eq!(parse(&v.to_string()).unwrap(), v, "{s:?}");
         }
+    }
+
+    /// The escaper as it was written before streaming, one char at a time:
+    /// the reference the streamed escaper must match byte for byte.
+    fn reference_escape(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn streamed_strings_match_the_reference_escaper() {
+        let mut every: String = (0u32..0x300).filter_map(char::from_u32).collect();
+        every.push_str("\u{2028}\u{1f600}𝕊\u{e000}");
+        for s in [
+            every.as_str(),
+            "",
+            "plain",
+            "\"",
+            "\\\\",
+            "a\u{0}b\u{1f}c\u{7f}",
+        ] {
+            assert_eq!(s.to_json_string(), reference_escape(s), "{s:?}");
+        }
+        let mut rng = crate::rng::Xoshiro256::seed_from(0xE5C);
+        let pool: Vec<char> = every.chars().collect();
+        for _ in 0..500 {
+            let len = rng.gen_range(0, 24) as usize;
+            let s: String = (0..len)
+                .map(|_| pool[rng.gen_range(0, pool.len() as u64) as usize])
+                .collect();
+            assert_eq!(s.to_json_string(), reference_escape(&s), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn streamed_integers_match_to_string() {
+        for v in [0, 1, 9, 10, 99, 100, 1 << 32, u64::MAX - 1, u64::MAX] {
+            assert_eq!(v.to_json_string(), v.to_string());
+            assert_eq!(Json::U64(v).to_string(), v.to_string());
+        }
+        for v in [i64::MIN, -1, 0, 7, i64::MAX] {
+            assert_eq!(Json::I64(v).to_string(), v.to_string());
+        }
+        assert_eq!(255u8.to_json_string(), "255");
+        assert_eq!(u32::MAX.to_json_string(), u32::MAX.to_string());
+        assert_eq!(usize::MAX.to_json_string(), usize::MAX.to_string());
+    }
+
+    #[test]
+    fn streamed_objects_match_the_tree() {
+        let mut line = String::from("prefix ");
+        Obj::open(&mut line)
+            .field("id", &7u64)
+            .field("bytes", [0u8, 255].as_slice())
+            .field("none", &None::<u64>)
+            .field("some", &Some(3u64))
+            .object("inner", |o| o.field("flag", &false).field("s", "\u{1}λ"))
+            .object("empty", |o| o)
+            .end();
+        let tree = Json::obj(vec![
+            ("id", Json::U64(7)),
+            ("bytes", Json::Arr(vec![Json::U64(0), Json::U64(255)])),
+            ("none", Json::Null),
+            ("some", Json::U64(3)),
+            (
+                "inner",
+                Json::obj(vec![
+                    ("flag", Json::Bool(false)),
+                    ("s", Json::Str("\u{1}λ".into())),
+                ]),
+            ),
+            ("empty", Json::Obj(Vec::new())),
+        ]);
+        assert_eq!(line, format!("prefix {tree}"));
     }
 
     #[test]

@@ -1,28 +1,18 @@
-//! Line-oriented JSON (JSONL) framing for append-only journals.
+//! Line-oriented JSON (JSONL) reading for append-only journals.
 //!
-//! The streaming campaign engine persists one JSON value per line so a run
-//! that crashes mid-campaign loses at most the line being written. That
-//! failure mode is *expected*, so the loader is tolerant of exactly one torn
-//! tail: a final line that is truncated, corrupt, or missing its newline is
-//! **dropped** (reported, not fatal), while damage anywhere earlier in the
-//! file is a hard [`Error::Parse`] — silent mid-file data loss must never be
-//! papered over.
+//! A journal holds one JSON value per line. Its writer appends each value's
+//! text and the terminating newline in one write and flushes it, so a run
+//! that crashes mid-campaign loses at most the line being written, and that
+//! line never ends in a newline. That failure mode is *expected*, so the
+//! loader is tolerant of exactly one torn tail: an unterminated final line
+//! that does not parse is **dropped** (reported, not fatal). Damage
+//! anywhere else — a newline-terminated line that does not parse, last line
+//! included — is a hard [`Error::Parse`] that names the line: silent data
+//! loss must never be papered over.
 
 use crate::json::{self, Json};
 use crate::{Error, Result};
-use std::io::Write;
 use std::path::Path;
-
-/// Writes one JSONL record: the compact serialization of `value` plus a
-/// terminating newline. Callers flush per record when crash tolerance
-/// matters.
-///
-/// # Errors
-///
-/// Returns [`Error::Io`] on write failure.
-pub fn write_line<W: Write>(w: &mut W, value: &Json) -> Result<()> {
-    writeln!(w, "{value}").map_err(Error::from)
-}
 
 /// Why the tail of a JSONL file was dropped by [`load_tolerant`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,8 +26,9 @@ pub struct DroppedTail {
 /// The result of a tolerant JSONL load.
 #[derive(Debug)]
 pub struct LoadedLines {
-    /// Every successfully parsed line, in file order.
-    pub lines: Vec<Json>,
+    /// Every successfully parsed line with its 1-based line number, in file
+    /// order.
+    pub lines: Vec<(usize, Json)>,
     /// Byte length of the valid prefix of the file. Truncating the file to
     /// this length removes the torn tail (if any) so appends resume on a
     /// clean line boundary.
@@ -48,16 +39,15 @@ pub struct LoadedLines {
 
 /// Loads a JSONL file, tolerating a torn tail.
 ///
-/// Blank lines are skipped. A line that fails to parse (or is not valid
-/// UTF-8) is dropped if nothing but whitespace follows it — the torn-tail
-/// signature of a crash mid-append. An unterminated final line that *does*
-/// parse is accepted: our writer emits the newline in the same buffered
-/// write as the value, so a parseable tail is a complete record.
+/// Blank lines are skipped. An unterminated final line that does not parse
+/// (or is not valid UTF-8) is dropped — the torn-tail signature of a crash
+/// mid-append. An unterminated final line that *does* parse is accepted: a
+/// crash can lose the newline alone, and the record before it is complete.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Io`] on read failure and [`Error::Parse`] for damage
-/// anywhere before the final line.
+/// Returns [`Error::Io`] on read failure and [`Error::Parse`], naming the
+/// line, for any newline-terminated line that does not parse.
 pub fn load_tolerant(path: &Path) -> Result<LoadedLines> {
     let bytes = std::fs::read(path)?;
     let mut lines = Vec::new();
@@ -83,20 +73,14 @@ pub fn load_tolerant(path: &Path) -> Result<LoadedLines> {
             });
         match parsed {
             Ok(Some(v)) => {
-                lines.push(v);
+                lines.push((line_no, v));
                 valid_len = next_pos;
             }
             Ok(None) => valid_len = next_pos, // blank line: valid, no record
-            Err(reason) => {
-                let tail_is_blank = bytes[next_pos..]
-                    .iter()
-                    .all(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'));
-                if tail_is_blank {
-                    dropped = Some(DroppedTail { line_no, reason });
-                    break;
-                }
-                return Err(Error::Parse(format!("jsonl line {line_no}: {reason}")));
+            Err(reason) if line_end == bytes.len() => {
+                dropped = Some(DroppedTail { line_no, reason });
             }
+            Err(reason) => return Err(Error::Parse(format!("jsonl line {line_no}: {reason}"))),
         }
         pos = next_pos;
     }
@@ -121,12 +105,13 @@ mod tests {
 
     fn write_file(name: &str, records: &[Json]) -> std::path::PathBuf {
         let path = temp_path(name);
-        let mut buf = Vec::new();
-        for r in records {
-            write_line(&mut buf, r).unwrap();
-        }
-        std::fs::write(&path, buf).unwrap();
+        let text: String = records.iter().map(|r| format!("{r}\n")).collect();
+        std::fs::write(&path, text).unwrap();
         path
+    }
+
+    fn values(loaded: &LoadedLines) -> Vec<Json> {
+        loaded.lines.iter().map(|(_, v)| v.clone()).collect()
     }
 
     #[test]
@@ -138,7 +123,7 @@ mod tests {
         ];
         let path = write_file("roundtrip.jsonl", &records);
         let loaded = load_tolerant(&path).unwrap();
-        assert_eq!(loaded.lines, records);
+        assert_eq!(values(&loaded), records);
         assert!(loaded.dropped.is_none());
         assert_eq!(
             loaded.valid_len,
@@ -170,7 +155,7 @@ mod tests {
                 .collect();
             let path = write_file("sweep.jsonl", &records);
             let loaded = load_tolerant(&path).unwrap();
-            assert_eq!(loaded.lines, records, "round {round}: lossy reload");
+            assert_eq!(values(&loaded), records, "round {round}: lossy reload");
             assert!(loaded.dropped.is_none());
             std::fs::remove_file(&path).ok();
         }
@@ -198,7 +183,7 @@ mod tests {
         for cut in last_start + 1..full.len() - 1 {
             std::fs::write(&path, &full[..cut]).unwrap();
             let loaded = load_tolerant(&path).unwrap();
-            assert_eq!(loaded.lines, records[..4], "cut at byte {cut}");
+            assert_eq!(values(&loaded), records[..4], "cut at byte {cut}");
             let d = loaded.dropped.as_ref().expect("tail dropped");
             assert_eq!(d.line_no, 5);
             assert_eq!(
@@ -222,7 +207,7 @@ mod tests {
         bytes.pop(); // drop final '\n'
         std::fs::write(&path, &bytes).unwrap();
         let loaded = load_tolerant(&path).unwrap();
-        assert_eq!(loaded.lines, records);
+        assert_eq!(values(&loaded), records);
         assert!(loaded.dropped.is_none());
         assert_eq!(loaded.valid_len as usize, bytes.len());
         std::fs::remove_file(&path).ok();
@@ -247,11 +232,35 @@ mod tests {
     }
 
     #[test]
+    fn terminated_unparsable_last_line_is_a_hard_error() {
+        // The writer ends every line with its newline, so a torn line is
+        // never terminated: a terminated line that does not parse is damage
+        // (or not a journal at all), even when it is the last one.
+        let path = temp_path("terminated.jsonl");
+        for (text, line) in [
+            ("not a journal\n", 1),
+            ("{\"a\":1}\n{\"a\":\n", 2),
+            ("{\"a\":1}\n{\"a\":\n\n", 2),
+        ] {
+            std::fs::write(&path, text).unwrap();
+            let err = load_tolerant(&path).expect_err(text);
+            assert!(
+                err.to_string().contains(&format!("line {line}:")),
+                "{text:?}: {err}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn blank_lines_and_empty_file_are_fine() {
         let path = temp_path("blank.jsonl");
         std::fs::write(&path, "\n  \n{\"a\":1}\n\n").unwrap();
         let loaded = load_tolerant(&path).unwrap();
-        assert_eq!(loaded.lines, vec![Json::obj(vec![("a", Json::U64(1))])]);
+        assert_eq!(
+            loaded.lines,
+            vec![(3, Json::obj(vec![("a", Json::U64(1))]))]
+        );
         assert!(loaded.dropped.is_none());
 
         std::fs::write(&path, "").unwrap();

@@ -11,8 +11,11 @@
 //! * [`stats`] — the statistical fault-sampling mathematics of
 //!   Leveugle et al., DATE 2009 (reference \[20\] of the paper), plus
 //!   confidence intervals for reporting.
-//! * [`jsonl`] — line-oriented JSON framing for append-only journals, with
-//!   a loader tolerant of the torn tail line a crash mid-append leaves.
+//! * [`json`] — a JSON value and parser for reading, and a streaming
+//!   writer ([`json::WriteJson`], [`json::Obj`]) that appends a record's
+//!   text to a reused buffer without building a value first.
+//! * [`jsonl`] — the loader of line-oriented JSON journals, tolerant of the
+//!   unterminated torn tail line a crash mid-append leaves.
 //! * [`alloc`] — a counting global allocator used by the engine's
 //!   allocation-free steady-state invariant test.
 //!

@@ -186,7 +186,8 @@ expect_usage_error --injections cargo run --release -q -p difi-bench --bin figur
     fig2 --injections
 # A journal the campaign cannot use fails the same way, with the loader's
 # error, and is left as it was: another cell's journal (seed 2015 resumed
-# under --seed 7) and a file that is not a journal at all.
+# under --seed 7) and a file that is not a journal at all, of two lines or
+# of one (a newline-terminated line is never a torn tail).
 cp "$smoke_dir/smoke.journal" "$smoke_dir/smoke.orig.journal"
 expect_usage_error seed cargo run --release -q -p difi-bench --bin campaign -- \
     --injector MaFIN-x86 --bench sha --structure l1d_data --injections 10 --seed 7 \
@@ -197,6 +198,13 @@ cmp "$smoke_dir/smoke.journal" "$smoke_dir/smoke.orig.journal" || {
 }
 printf 'not a journal\nnor is this\n' >"$smoke_dir/garbage.journal"
 expect_usage_error "line 1" run_campaign_bin --resume "$smoke_dir/garbage.journal"
+printf 'not a journal\n' >"$smoke_dir/one-line.journal"
+cp "$smoke_dir/one-line.journal" "$smoke_dir/one-line.orig.journal"
+expect_usage_error "line 1" run_campaign_bin --resume "$smoke_dir/one-line.journal"
+cmp "$smoke_dir/one-line.journal" "$smoke_dir/one-line.orig.journal" || {
+    echo "error: resuming a one-line non-journal file changed it" >&2
+    exit 1
+}
 
 echo "==> campaign binary collapse smoke"
 # End-to-end over the CLI: a collapsed campaign on a data-plane structure
