@@ -89,13 +89,29 @@ use difi_uarch::pipeline::engine::{
 use difi_uarch::pipeline::{BtbOrg, CoreConfig, CorePolicy, LsqOrg, OoOCore, SimExit, SimRun};
 use difi_uarch::predictor::TournamentConfig;
 use difi_uarch::residency::ResidencyLog;
-use difi_uarch::ProfileCounters;
+use difi_uarch::{ProfileCounters, TraceReport};
 use std::sync::{Arc, Mutex};
 
 /// The golden cores one [`SimDispatcher::golden_snapshots`] call captured,
 /// shared by every snapshot it returned. Each core is paused at the top of
-/// its cycle; a warm run takes one out, advances it and puts a clone back.
+/// its cycle; a warm run takes one out, advances it and puts it or a clone
+/// of it back.
 type GoldenPool = Arc<Mutex<Vec<OoOCore>>>;
+
+/// How [`SimDispatcher::fork`] starts a warm run.
+#[allow(
+    clippy::large_enum_variant,
+    reason = "a fork's outcome is moved once, from `fork` into `simulate`; boxing the core \
+              would add an allocation to every run that runs its mask"
+)]
+enum Forked {
+    /// The golden core advanced to the injection cycle, to run the mask on;
+    /// a clone of it went back to the pool.
+    Core(OoOCore),
+    /// The mask lands dead at the injection cycle: the engine's stop there,
+    /// and the golden core's prefix profile. The core went back uncloned.
+    DeadOnArrival(SimRun, ProfileCounters),
+}
 
 /// The MarsSim core configuration (Table II, MARSS/x86 column).
 pub fn mars_config() -> CoreConfig {
@@ -271,7 +287,8 @@ impl SimDispatcher {
     /// The single run path: from a core forked out of `start`'s golden pool
     /// at the mask's first injection cycle ([`SimDispatcher::fork`]), or
     /// from a fresh core when the mask has no such cycle or no pooled core
-    /// fits — the always-correct cold start.
+    /// fits — the always-correct cold start. A mask that lands dead at the
+    /// fork is answered there, without a copy of the core.
     fn simulate(
         &self,
         start: Option<&GoldenSnapshot>,
@@ -285,14 +302,43 @@ impl SimDispatcher {
             "{} simulates {} programs",
             self.name, self.isa
         );
+        let faults = to_engine_faults(spec);
+        let elim = to_engine_limits(limits);
         let forked = match (
             start.and_then(|s| s.state.downcast_ref::<GoldenPool>()),
             spec.warm_start_cycle(),
         ) {
-            (Some(pool), Some(cycle)) => self.fork(pool, program, cycle, limits),
+            (Some(pool), Some(cycle)) => self.fork(pool, program, cycle, &faults, &elim),
             _ => None,
         };
-        let mut core = forked.unwrap_or_else(|| self.boot(program));
+        let mut core = match forked {
+            Some(Forked::Core(core)) => core,
+            Some(Forked::DeadOnArrival(run, prefix)) => {
+                // Warm runs observe at most a trace and a profile.
+                debug_assert!(observe.residency.is_empty() && !observe.record_signature);
+                // The engine's trace of this stop: one injection per site.
+                let trace = observe.trace.then(|| {
+                    let report = TraceReport {
+                        injected: faults
+                            .iter()
+                            .map(|f| f.injected_at(run.stats.cycles))
+                            .collect(),
+                        watches: Vec::new(),
+                        divergence: None,
+                        scenario_fired_at: None,
+                    };
+                    assemble_trace(&report, spec)
+                });
+                return Observed {
+                    result: to_raw_result(run),
+                    trace,
+                    profile: observe.profile.then_some(prefix),
+                    signature: None,
+                    residency: Vec::new(),
+                };
+            }
+            None => self.boot(program),
+        };
         if observe.trace {
             core.enable_fault_tracing(observe.golden_sig.cloned());
         }
@@ -303,15 +349,11 @@ impl SimDispatcher {
             core.enable_profiling();
         }
         core.enable_residency(observe.residency);
-        let run = core.run_scenario(
-            &to_engine_faults(spec),
-            to_engine_scenario(spec),
-            &to_engine_limits(limits),
-        );
+        let run = core.run_scenario(&faults, to_engine_scenario(spec), &elim);
         Observed {
-            result: to_raw_result(&core, run),
+            result: to_raw_result(run),
             trace: if observe.trace {
-                assemble_trace(&core, spec)
+                core.trace_report().map(|r| assemble_trace(&r, spec))
             } else {
                 None
             },
@@ -328,12 +370,16 @@ impl SimDispatcher {
     }
 
     /// Forks the golden run at `cycle`: takes out of `pool` the latest core
-    /// at or before `cycle`, advances it fault-free to the top of `cycle`,
-    /// puts a clone of the advanced core back and returns the advanced core
-    /// to run the fault on. The pool keeps the clone because a clone's
-    /// buffers are sized to their contents, while the advanced core's have
-    /// grown over the cycles it ran. The lock is held only to take and to
-    /// put back, never while simulating or cloning.
+    /// at or before `cycle` and advances it fault-free to the top of
+    /// `cycle`. If the engine would stop right there because every one of
+    /// `faults` lands dead ([`OoOCore::dead_on_arrival`]), the advanced
+    /// core goes back to the pool as it is and the fork returns that stop.
+    /// Otherwise a clone of the advanced core goes back and the fork
+    /// returns the advanced core to run the faults on. The pool keeps the
+    /// clone because a clone's buffers are sized to their contents, while
+    /// the advanced core's have grown over the cycles it ran. The lock is
+    /// held only to take and to put back, never while simulating or
+    /// cloning.
     ///
     /// `None` — run cold — when no pooled core is at or before `cycle`, when
     /// the pool holds cores of another configuration or program (the core
@@ -344,8 +390,9 @@ impl SimDispatcher {
         pool: &GoldenPool,
         program: &Program,
         cycle: u64,
-        limits: &RunLimits,
-    ) -> Option<OoOCore> {
+        faults: &[EngineFault],
+        limits: &EngineLimits,
+    ) -> Option<Forked> {
         let mut core = {
             let mut cores = pool.lock().expect("golden pool lock");
             let (k, _) = cores
@@ -359,15 +406,17 @@ impl SimDispatcher {
             pool.lock().expect("golden pool lock").push(core);
             return None;
         }
-        if core
-            .run_until(&[], &to_engine_limits(limits), Some(cycle))
-            .is_some()
-        {
+        if core.run_until(&[], limits, Some(cycle)).is_some() {
             return None;
+        }
+        if let Some(run) = core.dead_on_arrival(faults, limits) {
+            let prefix = core.profile_counters().unwrap_or_default();
+            pool.lock().expect("golden pool lock").push(core);
+            return Some(Forked::DeadOnArrival(run, prefix));
         }
         let fresh = core.clone();
         pool.lock().expect("golden pool lock").push(fresh);
-        Some(core)
+        Some(Forked::Core(core))
     }
 
     /// Drives the fault-free prefix once, pausing at each cycle of
@@ -613,7 +662,7 @@ fn to_engine_limits(limits: &RunLimits) -> EngineLimits {
 }
 
 /// Assembles a finished engine run into the campaign's raw-result record.
-fn to_raw_result(core: &OoOCore, run: SimRun) -> RawRunResult {
+fn to_raw_result(run: SimRun) -> RawRunResult {
     let status = match run.exit {
         SimExit::Exited(code) => RunStatus::Completed { exit_code: code },
         SimExit::ProcessCrash(f) => RunStatus::ProcessCrash(f.to_string()),
@@ -621,7 +670,7 @@ fn to_raw_result(core: &OoOCore, run: SimRun) -> RawRunResult {
         SimExit::SimAssert(m) => RunStatus::SimulatorAssert(m),
         SimExit::SimCrash(m) => RunStatus::SimulatorCrash(m),
         SimExit::Timeout => RunStatus::Timeout,
-        SimExit::EarlyMasked => RunStatus::EarlyStopMasked(match core.early_reason() {
+        SimExit::EarlyMasked(why) => RunStatus::EarlyStopMasked(match why {
             EarlyWhy::DeadEntry => EarlyStop::DeadEntry,
             EarlyWhy::Overwritten => EarlyStop::OverwrittenBeforeRead,
         }),
@@ -640,8 +689,7 @@ fn to_raw_result(core: &OoOCore, run: SimRun) -> RawRunResult {
 /// observations. Events are ordered by cycle; construction order (injected,
 /// then watch lifecycles in arm order, then divergence) breaks ties
 /// deterministically via the stable sort.
-fn assemble_trace(core: &OoOCore, spec: &InjectionSpec) -> Option<FaultTrace> {
-    let report = core.trace_report()?;
+fn assemble_trace(report: &TraceReport, spec: &InjectionSpec) -> FaultTrace {
     let mut events = Vec::new();
     for ev in &report.injected {
         events.push(TraceEvent {
@@ -654,7 +702,7 @@ fn assemble_trace(core: &OoOCore, spec: &InjectionSpec) -> Option<FaultTrace> {
     // injection event from the engine's first-fire stamp so every trace
     // carries its scenario identity.
     if !matches!(spec.scenario, ScenarioKind::BitFlips { .. }) {
-        if let Some(cycle) = core.scenario_fired_at() {
+        if let Some(cycle) = report.scenario_fired_at {
             events.push(TraceEvent {
                 cycle,
                 kind: TraceEventKind::Injected,
@@ -687,7 +735,7 @@ fn assemble_trace(core: &OoOCore, spec: &InjectionSpec) -> Option<FaultTrace> {
         });
     }
     events.sort_by_key(|e| e.cycle);
-    Some(FaultTrace {
+    FaultTrace {
         id: spec.id,
         structure: match &spec.scenario {
             ScenarioKind::BitFlips { faults } => faults
@@ -699,7 +747,7 @@ fn assemble_trace(core: &OoOCore, spec: &InjectionSpec) -> Option<FaultTrace> {
         },
         scenario: spec.scenario.name().to_string(),
         events,
-    })
+    }
 }
 
 #[cfg(test)]

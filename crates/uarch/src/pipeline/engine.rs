@@ -27,6 +27,18 @@ pub struct EngineFault {
     pub duration_cycles: Option<u64>,
 }
 
+impl EngineFault {
+    /// The trace event of this fault applied at `cycle`.
+    pub fn injected_at(&self, cycle: u64) -> crate::trace::InjectedEvent {
+        crate::trace::InjectedEvent {
+            cycle,
+            structure: self.structure,
+            entry: self.entry,
+            bit: self.bit,
+        }
+    }
+}
+
 /// Engine-level run limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineLimits {
@@ -201,11 +213,7 @@ impl OoOCore {
                 return None;
             }
             self.hook_tick();
-            if self.cycle >= limits.max_cycles {
-                self.exit = Some(SimExit::Timeout);
-                break;
-            }
-            if self.cycle.saturating_sub(self.last_commit_cycle) > limits.deadlock_window {
+            if self.out_of_limits(limits) {
                 self.exit = Some(SimExit::Timeout);
                 break;
             }
@@ -214,8 +222,8 @@ impl OoOCore {
             while i < pending.len() {
                 if pending[i].at_cycle == Some(self.cycle) {
                     let f = pending.remove(i);
-                    let unused = self.apply_engine_fault(&f);
-                    dead_entry_all &= unused;
+                    dead_entry_all &= self.lands_dead(&f);
+                    self.apply_engine_fault(&f);
                     applied_any = true;
                 } else {
                     i += 1;
@@ -233,7 +241,11 @@ impl OoOCore {
                 && limits.early_stop
                 && (dead_entry_all || (self.faults_dead() && !self.faults_consumed()))
             {
-                self.exit = Some(SimExit::EarlyMasked);
+                self.exit = Some(SimExit::EarlyMasked(if self.faults_dead() {
+                    EarlyWhy::Overwritten
+                } else {
+                    EarlyWhy::DeadEntry
+                }));
                 break;
             }
 
@@ -249,8 +261,8 @@ impl OoOCore {
                 while i < pending.len() {
                     if pending[i].at_instruction.is_some_and(|n| n <= now) {
                         let f = pending.remove(i);
-                        let unused = self.apply_engine_fault(&f);
-                        dead_entry_all &= unused;
+                        dead_entry_all &= self.lands_dead(&f);
+                        self.apply_engine_fault(&f);
                         applied_any = true;
                     } else {
                         i += 1;
@@ -283,27 +295,66 @@ impl OoOCore {
             self.cycle += 1;
         }
 
-        self.stats.cycles = self.cycle;
-        self.stats.predictor = self.pred.stats;
-        self.stats.l1i = self.sys.l1i.stats;
-        self.stats.l1d = self.sys.l1d.stats;
-        self.stats.l2 = self.sys.l2.stats;
-        self.stats.itlb = self.itlb.stats;
-        self.stats.dtlb = self.dtlb.stats;
         let exit = self.exit.clone().unwrap_or(SimExit::Timeout);
-        Some(SimRun {
-            exit,
-            output: std::mem::take(&mut self.output),
-            exceptions: self.stats.exceptions,
-            stats: self.stats,
-            fault_consumed: self.faults_consumed() || self.scenario_fired_at.is_some(),
+        let output = std::mem::take(&mut self.output);
+        let run = self.sim_run(exit, output);
+        self.stats = run.stats;
+        Some(run)
+    }
+
+    /// The run [`OoOCore::run`] with `faults` would return if called now on
+    /// this core, paused on a fault-free run (as a fork's golden core is),
+    /// when that run stops at the top of this cycle by early-stop rule (i):
+    /// early stop is on, neither limit check fires, and every fault is due
+    /// this cycle and [lands dead](OoOCore::lands_dead). `None` when the
+    /// run would go on.
+    ///
+    /// Decided without applying anything, so the core is left untouched: a
+    /// flip into a data plane changes no entry's validity, so each fault
+    /// lands dead here exactly when it does after the cycle's earlier
+    /// faults.
+    pub fn dead_on_arrival(&self, faults: &[EngineFault], limits: &EngineLimits) -> Option<SimRun> {
+        let stops = self.exit.is_none()
+            && limits.early_stop
+            && !faults.is_empty()
+            && !self.out_of_limits(limits)
+            && faults
+                .iter()
+                .all(|f| f.at_cycle == Some(self.cycle) && self.lands_dead(f));
+        stops.then(|| {
+            self.sim_run(
+                SimExit::EarlyMasked(EarlyWhy::DeadEntry),
+                self.output.clone(),
+            )
         })
     }
 
-    /// The cycle at which the active control-flow scenario first fired its
-    /// payload, if it ever did during the last run.
-    pub fn scenario_fired_at(&self) -> Option<u64> {
-        self.scenario_fired_at
+    /// The top-of-cycle limit checks: the cycle ceiling, and the commit
+    /// watchdog.
+    fn out_of_limits(&self, limits: &EngineLimits) -> bool {
+        self.cycle >= limits.max_cycles
+            || self.cycle.saturating_sub(self.last_commit_cycle) > limits.deadlock_window
+    }
+
+    /// A run ending now in `exit`, with the statistics gathered so far.
+    fn sim_run(&self, exit: SimExit, output: Vec<u8>) -> SimRun {
+        let stats = SimStats {
+            cycles: self.cycle,
+            predictor: self.pred.stats,
+            l1i: self.sys.l1i.stats,
+            l1d: self.sys.l1d.stats,
+            l2: self.sys.l2.stats,
+            itlb: self.itlb.stats,
+            dtlb: self.dtlb.stats,
+            ..self.stats
+        };
+        SimRun {
+            exit,
+            output,
+            exceptions: stats.exceptions,
+            stats,
+            fault_consumed: self.faults_consumed() || self.scenario_fired_at.is_some(),
+        }
     }
 
     /// Attributes the cycle now ending to exactly one [`ProfileCounters`]
@@ -368,30 +419,24 @@ impl OoOCore {
         }
     }
 
-    /// Why the most recent [`SimExit::EarlyMasked`] fired. Valid right after
-    /// `run` returns that exit; derived from the hooks.
-    pub fn early_reason(&self) -> EarlyWhy {
-        if self.faults_dead() {
-            EarlyWhy::Overwritten
-        } else {
-            EarlyWhy::DeadEntry
-        }
-    }
-
     // ----------------------------------------------------------------- faults
 
-    /// Applies one fault now. Returns `true` when it landed in a provably
-    /// unused entry of a dead-entry-safe data plane (early-stop rule i).
-    pub fn apply_engine_fault(&mut self, f: &EngineFault) -> bool {
+    /// Early-stop rule (i) for one fault about to be applied: a transient
+    /// flip into a currently unused entry of a data plane whose every
+    /// allocation writes the entry before reading it
+    /// ([`StructureId::dead_entry_stop_safe`]). A stuck-at bit never lands
+    /// dead: it is forced back after every later write.
+    pub fn lands_dead(&self, f: &EngineFault) -> bool {
+        f.kind == FaultKind::Flip
+            && f.structure.dead_entry_stop_safe()
+            && self.entry_unused(f.structure, f.entry)
+    }
+
+    /// Applies one fault now.
+    pub fn apply_engine_fault(&mut self, f: &EngineFault) {
         if let Some(t) = &mut self.trace {
-            t.note_injected(crate::trace::InjectedEvent {
-                cycle: self.cycle,
-                structure: f.structure,
-                entry: f.entry,
-                bit: f.bit,
-            });
+            t.note_injected(f.injected_at(self.cycle));
         }
-        let unused = f.structure.dead_entry_stop_safe() && self.entry_unused(f.structure, f.entry);
         match f.kind {
             FaultKind::Flip => self.route_flip(f.structure, f.entry, f.bit),
             FaultKind::Stuck0 | FaultKind::Stuck1 => {
@@ -415,7 +460,6 @@ impl OoOCore {
             }
         }
         self.note_hooked(f.structure);
-        unused
     }
 
     fn route_flip(&mut self, s: StructureId, e: u64, b: u32) {

@@ -193,8 +193,8 @@ pub enum SimExit {
     SimCrash(String),
     /// Cycle budget or commit watchdog expired.
     Timeout,
-    /// Early stop: every injected fault proven masked.
-    EarlyMasked,
+    /// Early stop: every injected fault proven masked, for this reason.
+    EarlyMasked(engine::EarlyWhy),
 }
 
 /// Result of a detailed run.
@@ -1048,8 +1048,8 @@ impl OoOCore {
     }
 
     /// The raw observations of a traced run: fault applications, per-watch
-    /// lifecycles and the first divergence. `None` when tracing was never
-    /// enabled.
+    /// lifecycles, the first divergence and the scenario's firing. `None`
+    /// when tracing was never enabled.
     pub fn trace_report(&self) -> Option<TraceReport> {
         let t = self.trace.as_ref()?;
         let mut watches = Vec::new();
@@ -1065,6 +1065,7 @@ impl OoOCore {
             injected: t.injected_events().to_vec(),
             watches,
             divergence: t.divergence(),
+            scenario_fired_at: self.scenario_fired_at,
         })
     }
 }

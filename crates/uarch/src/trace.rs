@@ -170,6 +170,9 @@ pub struct TraceReport {
     pub watches: Vec<(StructureId, WatchReport)>,
     /// First committed-state divergence from the golden run, if any.
     pub divergence: Option<Divergence>,
+    /// Cycle at which the run's control-flow scenario first fired its
+    /// payload, if it did.
+    pub scenario_fired_at: Option<u64>,
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use difi_isa::program::{Isa, Program};
 use difi_isa::uop::{Cond, IntOp, Width};
 use difi_uarch::cache::CacheConfig;
 use difi_uarch::fault::{FaultKind, StructureId};
-use difi_uarch::pipeline::engine::{EngineFault, EngineLimits};
+use difi_uarch::pipeline::engine::{EarlyWhy, EngineFault, EngineLimits};
 use difi_uarch::pipeline::{BtbOrg, CoreConfig, CorePolicy, LsqOrg, OoOCore, SimExit};
 use difi_uarch::predictor::TournamentConfig;
 use difi_workloads::{build, Bench};
@@ -422,7 +422,7 @@ fn regfile_fault_in_free_register_is_early_masked() {
     let mut l = limits();
     l.early_stop = true;
     let run = core.run(&[f], &l);
-    assert_eq!(run.exit, SimExit::EarlyMasked);
+    assert_eq!(run.exit, SimExit::EarlyMasked(EarlyWhy::DeadEntry));
     assert!(!run.fault_consumed);
 }
 
@@ -556,7 +556,7 @@ fn l1d_fault_masking_differs_between_policies() {
                 | SimExit::SimAssert(_)
                 | SimExit::SimCrash(_)
                 | SimExit::Timeout
-                | SimExit::EarlyMasked => {}
+                | SimExit::EarlyMasked(_) => {}
             }
         }
         let _ = hits;
@@ -606,7 +606,7 @@ fn instruction_timed_injection_applies() {
     let run = core.run(&[f], &l);
     // Register 100 is free at boot; either early-masked or completed clean.
     assert!(
-        matches!(run.exit, SimExit::EarlyMasked | SimExit::Exited(0)),
+        matches!(run.exit, SimExit::EarlyMasked(_) | SimExit::Exited(0)),
         "got {:?}",
         run.exit
     );

@@ -346,6 +346,7 @@ const MAX_DEPTH: usize = 128;
 /// arrays/objects nested more than 128 levels deep.
 pub fn parse(input: &str) -> Result<Json> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -363,6 +364,7 @@ pub fn parse(input: &str) -> Result<Json> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays/objects currently open.
@@ -487,54 +489,45 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(b) = self.peek() else {
-                return Err(Error::Parse("unterminated string".into()));
+            // Copy the run of plain characters up to the next quote or
+            // escape at once: both are ASCII, so in valid UTF-8 input the
+            // run ends on a character boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error::Parse("unterminated string".into()))?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let Some(e) = self.peek() else {
+                return Err(Error::Parse("unterminated escape".into()));
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(e) = self.peek() else {
-                        return Err(Error::Parse("unterminated escape".into()));
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| Error::Parse("bad \\u escape".into()))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::Parse("bad \\u escape".into()))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(Error::Parse("unknown escape".into())),
-                    }
+            match e {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or_else(|| Error::Parse("bad \\u escape".into()))?;
+                    let cp = u32::from_str_radix(hex, 16)
+                        .map_err(|_| Error::Parse("bad \\u escape".into()))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not produced by our writer;
+                    // map lone surrogates to the replacement char.
+                    out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
                 }
-                _ => {
-                    // Re-scan as UTF-8: step back and take the full char.
-                    self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::Parse("invalid utf-8".into()))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| Error::Parse("unterminated string".into()))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => return Err(Error::Parse("unknown escape".into())),
             }
         }
     }
@@ -592,6 +585,17 @@ mod tests {
             let s = v.to_string();
             assert_eq!(parse(&s).unwrap(), v, "roundtrip of {s}");
         }
+    }
+
+    #[test]
+    fn a_long_string_roundtrips() {
+        // 200k characters of ASCII, multi-byte characters, escapes and a
+        // control character: runs of plain characters end on character
+        // boundaries wherever the escapes fall.
+        let unit = "plain é λ 🦀 \"quoted\" back\\slash\nnew\tline\u{1}";
+        let s: String = unit.chars().cycle().take(200_000).collect();
+        let v = Json::Str(s);
+        assert_eq!(parse(&v.to_string()).unwrap(), v);
     }
 
     #[test]

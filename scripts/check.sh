@@ -109,13 +109,18 @@ echo "==> release oracles ran and passed"
 #                           full campaign does, with sound provenance
 #   scenario_equivalence    mixed bit-flip and attack scenarios are
 #                           byte-identical across strategies (DESIGN.md §14)
+#   campaign_integration    early stop changes no verdict, for transient,
+#                           intermittent and permanent faults
 #   zero_alloc              a steady-state cycle window of every bench
 #                           workload performs zero heap allocations (§13)
+#   dead_on_arrival         a warm run whose fault lands dead is answered
+#                           at the fork without copying a core (§8)
 python3 - "$smoke_dir/release_tests.log" <<'PY'
 import re, sys
 REQUIRED = ["warm_start_equivalence", "resume_equivalence", "trace_determinism",
            "profiler_determinism", "snapshot_merge", "collapse_equivalence",
-           "scenario_equivalence", "zero_alloc"]
+           "scenario_equivalence", "campaign_integration", "zero_alloc",
+           "dead_on_arrival"]
 lines = open(sys.argv[1]).read().splitlines()
 bad = []
 for name in REQUIRED:
@@ -219,6 +224,24 @@ grep -q 'classification (10 runs' "$smoke_dir/collapsed.out" || {
     echo "error: collapsed campaign did not log all 10 masks" >&2
     exit 1
 }
+
+echo "==> campaign binary early-stop smoke"
+# Early stop is a pure speedup (§III.B.2): a permanent stuck-at campaign
+# must classify the same with and without it. A stuck bit in an unused
+# entry is forced back after every write, so it is live and its run must
+# not stop as masked.
+run_stuck_campaign() {
+    cargo run --release -q -p difi-bench --bin campaign -- \
+        --injector MaFIN-x86 --bench sha --structure int_prf --model permanent \
+        --injections 30 --seed 2015 "$@"
+}
+run_stuck_campaign | tee "$smoke_dir/early_stop.out" >/dev/null
+run_stuck_campaign --no-early-stop | tee "$smoke_dir/no_early_stop.out" >/dev/null
+if ! diff <(grep -A99 '^classification' "$smoke_dir/early_stop.out" | sed 's/([^)]*)//') \
+          <(grep -A99 '^classification' "$smoke_dir/no_early_stop.out" | sed 's/([^)]*)//'); then
+    echo "error: early stop changed a permanent stuck-at campaign's classification" >&2
+    exit 1
+fi
 
 echo "==> campaign binary trace/metrics smoke"
 # End-to-end observability: a traced campaign must emit parseable JSONL

@@ -67,6 +67,41 @@ fn early_stop_does_not_change_verdicts() {
         cyc(&with) < cyc(&without),
         "early stop must reduce simulated cycles"
     );
+
+    // Stuck-at faults on every setup. A stuck bit in an unused entry is
+    // forced back after every later write, so it is live: rule (i) must
+    // not stop its run.
+    for dispatcher in setups::all() {
+        let d = dispatcher.as_ref();
+        let program = build(Bench::Fft, d.isa()).expect("assembles");
+        let golden = golden_run(d, &program, 200_000_000);
+        for structure in [StructureId::IntRegFile, StructureId::L1dData] {
+            let desc = difi::core::dispatch::structure_desc(d, structure).expect("injectable");
+            let mut gen = MaskGenerator::new(7);
+            let mut masks = gen.intermittent(&desc, golden.cycles_measured(), 20_000, 8);
+            masks.extend(gen.permanent(&desc, 8));
+            let campaign = |early_stop| {
+                let cfg = CampaignConfig {
+                    threads: 2,
+                    early_stop,
+                    golden_max_cycles: 200_000_000,
+                };
+                CampaignRunner::new(d, &program, structure, 7, &cfg).run(&masks)
+            };
+            let (with, without) = (campaign(true), campaign(false));
+            let classifier = Classifier::from_golden(&without.golden);
+            for (w, o) in with.runs.iter().zip(&without.runs) {
+                assert_eq!(
+                    classifier.classify(&w.result),
+                    classifier.classify(&o.result),
+                    "{} {structure}: early stop changed the verdict of mask {} ({:?})",
+                    d.name(),
+                    w.spec.id,
+                    w.spec.faults()[0].duration
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -69,6 +69,19 @@ fn assert_totality(tag: &str, i: usize, p: &ProfileCounters, cycles: Option<u64>
     );
 }
 
+/// The runs of `log` that stopped at their injection cycle because their
+/// fault landed in an unused entry: a warm campaign answers these at the
+/// fork, without running the core.
+fn dead_on_arrival(log: &CampaignLog) -> usize {
+    log.runs
+        .iter()
+        .filter(|r| {
+            r.result.status == RunStatus::EarlyStopMasked(EarlyStop::DeadEntry)
+                && r.result.cycles == r.spec.warm_start_cycle()
+        })
+        .count()
+}
+
 #[test]
 fn profiles_are_identical_across_all_strategies() {
     for bench in [Bench::Sha, Bench::Fft] {
@@ -121,6 +134,10 @@ fn profiles_are_identical_across_all_strategies() {
                 cold_profiles,
                 warm_mem.into_profiles(),
                 "{tag}: warm-start profiles diverged from cold"
+            );
+            assert!(
+                dead_on_arrival(&warm_log) > 0,
+                "{tag}: no warm run was answered at its fork"
             );
 
             // Strategy 3 — mask-space collapse, profiled. Only class

@@ -65,6 +65,19 @@ fn cut_to_half(path: &Path) {
     std::fs::write(path, kept).expect("truncate journal");
 }
 
+/// The runs of `log` that stopped at their injection cycle because their
+/// fault landed in an unused entry: a warm campaign answers these at the
+/// fork, without running the core.
+fn dead_on_arrival(log: &CampaignLog) -> usize {
+    log.runs
+        .iter()
+        .filter(|r| {
+            r.result.status == RunStatus::EarlyStopMasked(EarlyStop::DeadEntry)
+                && r.result.cycles == r.spec.warm_start_cycle()
+        })
+        .count()
+}
+
 #[test]
 fn traces_are_identical_across_all_strategies() {
     for bench in [Bench::Sha, Bench::Fft] {
@@ -116,6 +129,10 @@ fn traces_are_identical_across_all_strategies() {
                 cold_traces,
                 warm_mem.into_traces(),
                 "{tag}: warm-start event streams diverged from cold"
+            );
+            assert!(
+                dead_on_arrival(&warm_log) > 0,
+                "{tag}: no warm run was answered at its fork"
             );
 
             // Strategy 3 — crash-resume, traced. Journal a full traced

@@ -191,8 +191,9 @@ fn a_snapshot_of_another_program_runs_cold() {
 
 /// One mask of each kind a run can fork for, all scheduled at `cycle`:
 /// single transient, intermittent, permanent stuck-at, correlated burst,
-/// and the three cycle-triggered control-flow attacks.
-fn every_kind_at(cycle: u64) -> Vec<InjectionSpec> {
+/// and the three cycle-triggered control-flow attacks; then the transient,
+/// intermittent and permanent kinds again, into `unused_line` of the L2.
+fn every_kind_at(cycle: u64, unused_line: u64) -> Vec<InjectionSpec> {
     let site = |bit, kind, duration| FaultRecord {
         core: 0,
         structure: StructureId::IntRegFile,
@@ -201,6 +202,14 @@ fn every_kind_at(cycle: u64) -> Vec<InjectionSpec> {
         kind,
         at: InjectTime::Cycle(cycle),
         duration,
+    };
+    let unused = |id, kind, duration| {
+        let f = FaultRecord {
+            structure: StructureId::L2Data,
+            entry: unused_line,
+            ..site(5, kind, duration)
+        };
+        InjectionSpec::bit_flips(id, vec![f])
     };
     let attack = |id, scenario| InjectionSpec { id, scenario };
     let at = InjectTime::Cycle(cycle);
@@ -227,6 +236,13 @@ fn every_kind_at(cycle: u64) -> Vec<InjectionSpec> {
         attack(4, ScenarioKind::InstructionSkip { at, count: 1 }),
         attack(5, ScenarioKind::OpcodeCorrupt { at, xor: 0x5a }),
         attack(6, ScenarioKind::BranchInvert { at, count: 1 }),
+        unused(7, FaultKindSer::Flip, FaultDuration::Transient),
+        unused(
+            8,
+            FaultKindSer::Stuck1,
+            FaultDuration::Intermittent { cycles: 500 },
+        ),
+        unused(9, FaultKindSer::Stuck0, FaultDuration::Permanent),
     ]
 }
 
@@ -236,15 +252,18 @@ fn a_run_forks_exactly_at_its_injection_cycle() {
     // cycle to exactly that cycle. Cover the fork that advances nothing (the
     // checkpoint cycle itself, cycle 0 included), the one-cycle advance, and
     // a mid-interval one, for every mask kind; each from a fresh snapshot
-    // set, so the pooled cores sit exactly at their checkpoints.
+    // set, so the pooled cores sit exactly at their checkpoints. The last
+    // way of the L2's last set is one fft never fills: a transient there is
+    // answered at the fork, a stuck-at bit there is live and runs.
     let mafin = MaFin::new();
     let program = build(Bench::Fft, mafin.isa()).expect("assembles");
     let g = golden_run(&mafin, &program, 200_000_000).cycles_measured();
     let limits = RunLimits::campaign(g);
+    let l2 = difi::core::dispatch::structure_desc(&mafin, StructureId::L2Data).expect("injectable");
     let checkpoints = [0, g / 2];
     for checkpoint in checkpoints {
         for cycle in [checkpoint, checkpoint + 1, checkpoint + g / 4] {
-            for spec in every_kind_at(cycle) {
+            for spec in every_kind_at(cycle, l2.entries - 1) {
                 let snaps = mafin
                     .golden_snapshots(&program, &checkpoints, &limits)
                     .expect("MaFIN supports warm starts");
@@ -252,13 +271,24 @@ fn a_run_forks_exactly_at_its_injection_cycle() {
                     .iter()
                     .rfind(|s| s.cycle <= cycle)
                     .expect("a checkpoint precedes the injection");
+                let cold = mafin.run(&program, &spec, &limits);
                 assert_eq!(
                     mafin.run_from(snap, &program, &spec, &limits),
-                    mafin.run(&program, &spec, &limits),
+                    cold,
                     "mask {} ({}) at cycle {cycle}, checkpoint {checkpoint}",
                     spec.id,
                     spec.scenario.name()
                 );
+                if spec.id == 7 {
+                    assert_eq!(
+                        (cold.status, cold.cycles),
+                        (
+                            RunStatus::EarlyStopMasked(EarlyStop::DeadEntry),
+                            Some(cycle)
+                        ),
+                        "the L2 transient lands dead at cycle {cycle}"
+                    );
+                }
             }
         }
     }
